@@ -20,6 +20,11 @@ Usage::
     python benchmarks/bench_speed.py            # full, asserts >= 5x
     python benchmarks/bench_speed.py --quick    # CI smoke: on beats off
 
+Each case records ``fast_us_per_request`` — the fast-forwarded run's
+absolute wall cost per served request — next to the on/off
+``speedup`` ratio: the ratio falls whenever code both modes share gets
+faster, so the absolute cost is the number to drive down.
+
 The full run asserts the fig09-class aggregate speedup meets the 5x
 target and the cluster case meets the 7x floor (the fleet-vectorized
 loop measures ~8.5x locally; its analytic ceiling on this case is
@@ -107,8 +112,13 @@ def measure(
     build: Callable[[], object],
     runner: Callable,
     repeats: int,
+    requests: int,
 ) -> Dict:
-    """Best-of-N wall-clock for both modes, with end-state verification."""
+    """Best-of-N wall-clock for both modes, with end-state verification.
+
+    ``requests`` is the case's request count, the base of the absolute
+    per-request cost.
+    """
     fast_times: List[float] = []
     slow_times: List[float] = []
     fast_state = slow_state = None
@@ -129,10 +139,12 @@ def measure(
         "fast_seconds": round(fast, 6),
         "slow_seconds": round(slow, 6),
         "speedup": round(slow / fast, 3),
+        "fast_us_per_request": round(fast * 1e6 / requests, 1),
     }
     print(
         f"  {name:<28} fast {fast * 1e3:8.1f}ms   "
-        f"slow {slow * 1e3:8.1f}ms   {slow / fast:5.2f}x"
+        f"slow {slow * 1e3:8.1f}ms   {slow / fast:5.2f}x   "
+        f"{row['fast_us_per_request']:8.1f}us/request"
     )
     return row
 
@@ -167,6 +179,7 @@ def main(argv=None) -> int:
                 lambda system=system: _fig09_engine(system, fig09_count),
                 _run_engine,
                 repeats,
+                fig09_count,
             )
         )
     rows.append(
@@ -175,6 +188,7 @@ def main(argv=None) -> int:
             lambda: _fig10_engine(fig10_count),
             _run_engine,
             repeats,
+            fig10_count,
         )
     )
 
@@ -195,6 +209,7 @@ def main(argv=None) -> int:
         build_fleet,
         _run_cluster,
         repeats,
+        cluster_count,
     )
     rows.append(cluster_row)
 

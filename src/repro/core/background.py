@@ -19,7 +19,8 @@ Work comes in two priorities:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -36,6 +37,12 @@ class BackgroundWorker:
     spilled_seconds: float = 0.0
     #: Lifetime seconds submitted (both priorities).
     submitted_seconds: float = 0.0
+    #: While a list, :meth:`submit` also appends each ``(seconds,
+    #: critical)`` pair to it: how a caller records one background
+    #: hook's work in order to :meth:`replay` it.
+    journal: Optional[List[Tuple[float, bool]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def pending_seconds(self) -> float:
@@ -51,6 +58,8 @@ class BackgroundWorker:
         else:
             self.opportunistic_pending += seconds
         self.submitted_seconds += seconds
+        if self.journal is not None:
+            self.journal.append((seconds, critical))
 
     def run_for(self, window_seconds: float) -> float:
         """Overlap queued work with a compute window; returns seconds done.
@@ -68,6 +77,56 @@ class BackgroundWorker:
         done = done_critical + done_opportunistic
         self.overlapped_seconds += done
         return done
+
+    def replay(
+        self,
+        submissions: Sequence[Tuple[float, bool]],
+        windows: Sequence[float],
+    ) -> int:
+        """Repeat one hook's work across consecutive compute windows.
+
+        For each window in order: :meth:`submit` every ``(seconds,
+        critical)`` pair of ``submissions``, then :meth:`run_for` the
+        window. The float operations are those calls' own, in the same
+        order, so every counter comes out bit-identical to making the
+        calls — float addition is not associative, so the per-window
+        amounts are never multiplied or pre-summed. Like a steady
+        decode stretch, the replay stops after the first window that
+        leaves critical work pending (the next ``step()`` would flush
+        it). Returns the windows consumed. Negative work or windows
+        raise before any state changes.
+        """
+        for seconds, _critical in submissions:
+            if seconds < 0:
+                raise ValueError(f"cannot submit negative work: {seconds}")
+        if windows and min(windows) < 0:
+            raise ValueError(f"negative window: {min(windows)}")
+        critical_pending = self.critical_pending
+        opportunistic_pending = self.opportunistic_pending
+        overlapped = self.overlapped_seconds
+        submitted = self.submitted_seconds
+        consumed = 0
+        for window_seconds in windows:
+            for seconds, critical in submissions:
+                if critical:
+                    critical_pending += seconds
+                else:
+                    opportunistic_pending += seconds
+                submitted += seconds
+            done_critical = min(critical_pending, window_seconds)
+            critical_pending -= done_critical
+            remaining = window_seconds - done_critical
+            done_opportunistic = min(opportunistic_pending, remaining)
+            opportunistic_pending -= done_opportunistic
+            overlapped += done_critical + done_opportunistic
+            consumed += 1
+            if critical_pending > 0.0:
+                break
+        self.critical_pending = critical_pending
+        self.opportunistic_pending = opportunistic_pending
+        self.overlapped_seconds = overlapped
+        self.submitted_seconds = submitted
+        return consumed
 
     def flush_critical(self) -> float:
         """Force outstanding *critical* work to complete synchronously.

@@ -191,7 +191,13 @@ class _VattentionDecodePlan(DecodeFastPath):
     * threshold reclamation is invoked (with slot contexts synced)
       only when the free-row fraction is actually below the threshold —
       the method's own first early-exit;
-    * the worker's window consumption runs only while work is queued.
+    * the worker's window consumption runs only while work is queued;
+    * a *steady cycle* — a non-crossing hook that leaves every slot's
+      rows and the free-row list exactly as it found them (under KV
+      pressure eager allocation maps rows into the inactive target and
+      reclamation hands the same rows straight back) — is recorded and
+      replayed over every later iteration up to the next scheduled
+      crossing in one :meth:`replay_cycle` step.
 
     The stretch ends the moment steady-state is no longer provable:
     critical work spilling past its window (the next ``step()`` would
@@ -244,6 +250,10 @@ class _VattentionDecodePlan(DecodeFastPath):
         self._cross_at: List[float] = []
         self._next_cross: float = float("inf")
         self._batch_rows = sum(len(slot.rows) for slot, _ in slots)
+        #: The last hook's effects when it was a steady cycle: integer
+        #: stat deltas and its worker submissions in order; ``None``
+        #: otherwise.
+        self._cycle: Optional[tuple] = None
         if overlap:
             self._compute_crossings(-1)
 
@@ -272,8 +282,17 @@ class _VattentionDecodePlan(DecodeFastPath):
 
     def on_iteration(self, iteration: int, window: float) -> bool:
         manager = self.manager
+        stats = manager.stats
+        worker = manager.background
+        if self._overlap:
+            submissions = worker.journal = []
+            rows_mapped = stats.rows_mapped
+            rows_unmapped = stats.rows_unmapped
+            map_calls = stats.map_calls
+            unmap_calls = stats.unmap_calls
         keep_going = True
         crossed = iteration == self._next_cross
+        target_rows = 0
         if crossed:
             self._sync_contexts(iteration)
             for index, (slot, _c0) in enumerate(self._slots):
@@ -308,7 +327,8 @@ class _VattentionDecodePlan(DecodeFastPath):
                         best_key = key
                         target = slot
                 self._eager_target = target
-            deficit = self._eager_page_groups - len(target.rows)
+            target_rows = len(target.rows)
+            deficit = self._eager_page_groups - target_rows
             deficit = min(deficit, len(manager._free_rows))
             if deficit > 0:
                 manager._map_rows(
@@ -344,8 +364,9 @@ class _VattentionDecodePlan(DecodeFastPath):
             self._compute_crossings(iteration)
             if self._next_cross <= iteration:
                 keep_going = False
+        self._cycle = None
         if self._overlap:
-            worker = manager.background
+            worker.journal = None
             if worker.critical_pending or worker.opportunistic_pending:
                 worker.run_for(window)
                 if worker.critical_pending > 0.0:
@@ -353,7 +374,67 @@ class _VattentionDecodePlan(DecodeFastPath):
                     # mappings; the next step() would flush them onto
                     # the critical path — no longer steady.
                     keep_going = False
+            # A steady cycle. Without a crossing only the eager target
+            # gains rows, so equal mapped/unmapped counts with the
+            # target back at its entry length mean reclamation took
+            # exactly the rows eager mapped, all from the target. Both
+            # directions are LIFO, so the same handles went back in the
+            # same free-list order (and _row_refs lost exactly the keys
+            # it gained): every later hook up to the next crossing sees
+            # this state again and repeats this work. Non-crossing
+            # hooks queue only opportunistic work.
+            mapped = stats.rows_mapped - rows_mapped
+            if (
+                keep_going
+                and not crossed
+                and mapped == stats.rows_unmapped - rows_unmapped
+                and (
+                    mapped == 0
+                    or len(self._eager_target.rows) == target_rows
+                )
+            ):
+                self._cycle = (
+                    stats.map_calls - map_calls,
+                    stats.unmap_calls - unmap_calls,
+                    mapped,
+                    submissions,
+                )
         return keep_going
+
+    def replay_cycle(self, iteration: int, n: int, windows) -> int:
+        """Replay the last hook's steady cycle over ``[iteration, j)``.
+
+        Returns ``j``: ``n`` or the next scheduled crossing, whichever
+        comes first (``iteration`` when no cycle is recorded or a
+        crossing is due now). Integer stats advance by the recorded
+        deltas times the span; the worker replays the recorded
+        submissions and each window in order, so its floats match the
+        per-hook path bit for bit. Opportunistic backlog never reaches
+        the simulated clock (``step()`` flushes only critical work) but
+        is replayed exactly anyway: the per-iteration loop must resume
+        in the state it would have reached on its own. Batch-slot
+        contexts are left unsynced: the span ends at a crossing, whose
+        hook syncs them before anything reads them, or at the
+        stretch's end, where :meth:`commit` sets them.
+        """
+        cycle = self._cycle
+        if cycle is None:
+            return iteration
+        end = n if self._next_cross >= n else int(self._next_cross)
+        if end <= iteration:
+            return iteration
+        map_calls, unmap_calls, rows, submissions = cycle
+        count = end - iteration
+        manager = self.manager
+        stats = manager.stats
+        stats.map_calls += map_calls * count
+        stats.unmap_calls += unmap_calls * count
+        stats.rows_mapped += rows * count
+        stats.rows_unmapped += rows * count
+        manager.background.replay(
+            submissions, windows[iteration:end].tolist()
+        )
+        return end
 
     def quiescent_until(self, iteration: int, n: int) -> int:
         """Provable no-op hook span: no crossing due, eager converged,

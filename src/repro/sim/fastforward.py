@@ -119,6 +119,20 @@ class DecodeFastPath:
         """
         return iteration
 
+    def replay_cycle(self, iteration: int, n: int, windows) -> int:
+        """Largest ``j <= n`` with hooks for ``[iteration, j)`` provably
+        repeating the last hook's work, which this call applies.
+
+        ``windows`` is the stretch's float64 compute-window series. A
+        plan that recorded a *steady cycle* — a hook that returned
+        ``True`` and left every state its next decision reads as it
+        found it — may land that hook's effects for the whole span in
+        one step, provided the result is bit-identical to calling
+        :meth:`on_iteration` for each iteration. Plans that record no
+        cycles return ``iteration`` (replay nothing), the default.
+        """
+        return iteration
+
     def commit(self, executed: int, last_step_now: float) -> None:
         """Apply the aggregate state of ``executed`` iterations.
 
@@ -508,11 +522,15 @@ class DecodeFastForwarder:
                 # and return True, and a provable no-op changes no state
                 # the next hook decision reads, so skipping the calls is
                 # exact. At fleet scale this turns the per-iteration
-                # Python loop into a handful of span jumps.
+                # Python loop into a handful of span jumps. Likewise a
+                # hook that repeats a recorded steady cycle is replayed
+                # for its whole span in one call.
                 executed = 0
                 i = 0
                 while i < n:
                     j = plan.quiescent_until(i, n)
+                    if j == i:
+                        j = plan.replay_cycle(i, n, compute)
                     if j > i:
                         executed = j
                         i = j

@@ -15,21 +15,28 @@ Two layers of enforcement:
   nothing to sweep; the two that pin ``fast_forward=False`` internally
   (fig12, ext-chunked: their *subject* is the per-iteration series)
   still run to prove the pin holds.
+
+A pressure oracle then compares the whole vAttention manager state, not
+just the reports, on a long-context engine whose decode stretches
+replay the background allocator's steady eager-map/reclaim cycle.
 """
 
 import dataclasses
 import json
+import random
 
 import pytest
 
 import fcfs_golden
 import repro.serving.engine as engine_module
+import repro.serving.memory as memory_module
 from repro.cluster.autoscaler import AUTOSCALER_POLICIES
 from repro.cluster.engine import ClusterEngine
 from repro.cluster.router import policy_names
 from repro.experiments import (
     ext_autoscale,
     ext_cluster_router,
+    ext_kv_tiering,
     ext_prefix_cache,
     ext_sched_policy,
     ext_swap_policy,
@@ -41,8 +48,15 @@ from repro.experiments import (
     fig12_overlap_ablation,
     fig15_max_batch_size,
 )
+from repro.gpu.spec import A100
+from repro.memory import MemoryConfig
+from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
-from repro.units import MB
+from repro.serving.engine import EngineConfig, LLMEngine
+from repro.serving.request import Request
+from repro.units import GB, MB
+from repro.workloads.arrival import poisson_arrivals
+from repro.workloads.traces import TraceSpec
 
 
 # ----------------------------------------------------------------------
@@ -109,6 +123,7 @@ SWEEP = {
     "fig15": lambda: fig15_max_batch_size.run(
         models=[(YI_6B, 1)], page_group_sizes=(2 * MB,), request_count=24
     ),
+    "ext-kv-tiering": lambda: ext_kv_tiering.run(prompts=(8_192,)),
     "ext-prefix-cache": lambda: ext_prefix_cache.run(sharing_factors=(4,)),
     "ext-sched-policy": lambda: ext_sched_policy.run(count=40, qps=6.0),
     "ext-swap": lambda: ext_swap_policy.run(prompts=(8_192,)),
@@ -131,6 +146,82 @@ class TestCatalogueSweep:
         monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", False)
         legacy = SWEEP[name]()
         assert fast == legacy
+
+
+# ----------------------------------------------------------------------
+# The pressure oracle: full vAttention state under KV pressure
+# ----------------------------------------------------------------------
+def _pressure_run(fast_forward):
+    """~100 long-context requests (2k-16k-token prompts) on one Yi-6B
+    vAttention engine with 4 GiB of KV and tiered preemption: eager
+    allocation and threshold reclamation keep undoing each other, so
+    decode stretches are full of steady cycles."""
+    rng = random.Random(11)
+    prompts = TraceSpec(low=2_048, high=16_384, mean=6_144)
+    decodes = TraceSpec(low=64, high=1_024, mean=300)
+    requests = [
+        Request(
+            request_id=f"long-{index:03d}",
+            prompt_len=prompts.sample(rng),
+            max_new_tokens=decodes.sample(rng),
+            arrival_time=arrival,
+        )
+        for index, arrival in enumerate(poisson_arrivals(0.8, 100, 13))
+    ]
+    engine = LLMEngine(
+        EngineConfig(
+            shard=ShardedModel(YI_6B, 1),
+            gpu=A100,
+            memory_backend="vattention",
+            kv_budget_bytes=4 * GB,
+            memory=MemoryConfig(preemption_mode="tiered"),
+            fast_forward=fast_forward,
+        )
+    )
+    engine.submit(requests)
+    engine.run()
+    manager = engine.memory.backend.manager
+    worker = manager.background
+    times = [
+        (r.request_id, r.first_token_time, r.finish_time, r.preemptions)
+        for r in requests
+    ]
+    state = (
+        dataclasses.astuple(manager.stats),
+        [[handle.handle_id for handle in slot.rows] for slot in manager.slots],
+        [handle.handle_id for handle in manager._free_rows],
+        list(manager._row_refs.items()),
+        (
+            worker.critical_pending,
+            worker.opportunistic_pending,
+            worker.overlapped_seconds,
+            worker.spilled_seconds,
+            worker.submitted_seconds,
+        ),
+    )
+    return times, state
+
+
+class TestPressureOracle:
+    def test_cycle_replay_leaves_identical_state(self, monkeypatch):
+        replayed = []
+        replay_cycle = memory_module._VattentionDecodePlan.replay_cycle
+
+        def spy(plan, iteration, n, windows):
+            end = replay_cycle(plan, iteration, n, windows)
+            replayed.append(end - iteration)
+            return end
+
+        monkeypatch.setattr(
+            memory_module._VattentionDecodePlan, "replay_cycle", spy
+        )
+        fast_times, fast_state = _pressure_run(fast_forward=True)
+        # The replay must engage, or the equality below proves nothing.
+        assert sum(replayed) > 1_000
+        legacy_times, legacy_state = _pressure_run(fast_forward=False)
+        assert any(preemptions for *_, preemptions in fast_times)
+        assert fast_times == legacy_times
+        assert fast_state == legacy_state
 
 
 # ----------------------------------------------------------------------
