@@ -114,33 +114,32 @@ class RadixTree:
     def __init__(self) -> None:
         self._root = _Node((), None)
         self._nodes: Dict[int, _Node] = {}  # entry_id -> terminal node
+        self._entries: Dict[int, PrefixEntry] = {}  # entry_id -> entry
         self._next_entry_id = 0
         self.stats = RadixTreeStats()
 
     # ------------------------------------------------------------------
     @property
     def entries(self) -> List[PrefixEntry]:
-        """All registered entries (live and cache-owned)."""
-        return list(self._root.subtree_entries())
+        """All registered entries (live and cache-owned), in insertion
+        order."""
+        return list(self._entries.values())
 
     @property
     def entry_count(self) -> int:
-        return len(self._nodes)
+        return len(self._entries)
 
     @property
     def cached_tokens(self) -> int:
         """Tokens resident under cache-owned entries."""
-        return sum(e.tokens for e in self.entries if not e.live)
+        return sum(e.tokens for e in self._entries.values() if not e.live)
 
     def get(self, entry_id: int) -> PrefixEntry:
         """Look an entry up by id."""
-        node = self._nodes.get(entry_id)
-        if node is None:
+        entry = self._entries.get(entry_id)
+        if entry is None:
             raise SchedulingError(f"no cache entry {entry_id}")
-        for entry in node.entries:
-            if entry.entry_id == entry_id:
-                return entry
-        raise SchedulingError(f"no cache entry {entry_id}")  # pragma: no cover
+        return entry
 
     # ------------------------------------------------------------------
     # Lookup
@@ -370,6 +369,7 @@ class RadixTree:
         self._next_entry_id += 1
         node.entries.append(entry)
         self._nodes[entry.entry_id] = node
+        self._entries[entry.entry_id] = entry
         self.stats.insertions += 1
         return entry
 
@@ -392,6 +392,7 @@ class RadixTree:
             raise SchedulingError(
                 f"cache entry {entry.entry_id} is not registered"
             )
+        del self._entries[entry.entry_id]
         node.entries.remove(entry)
         self.stats.removals += 1
         self._prune(node)
@@ -420,11 +421,19 @@ class RadixTree:
     # Eviction
     # ------------------------------------------------------------------
     def lru_victim(self) -> Optional[PrefixEntry]:
-        """Oldest evictable entry, or ``None`` if nothing can go."""
-        victims = [e for e in self.entries if e.evictable]
-        if not victims:
-            return None
-        return min(victims, key=lambda e: (e.last_access, e.entry_id))
+        """Oldest evictable entry, or ``None`` if nothing can go.
+
+        The minimum ``(last_access, entry_id)``, found by one scan of
+        the entry index. Ids ascend in index order (insertion order), so
+        a strict ``<`` on ``last_access`` keeps the lowest id on ties.
+        """
+        best: Optional[PrefixEntry] = None
+        for entry in self._entries.values():
+            if entry.evictable and (
+                best is None or entry.last_access < best.last_access
+            ):
+                best = entry
+        return best
 
     def evict(self, entry: PrefixEntry) -> None:
         """Remove an entry, counting it as an eviction (not a removal)."""

@@ -652,21 +652,17 @@ class _PagedDecodePlan(DecodeFastPath):
         backend: "PagedMemory",
         batch: Sequence[Request],
         horizon: int,
+        contexts: List[int],
+        counts: List[int],
     ) -> None:
         self._backend = backend
-        self._requests: List[Tuple[Request, int]] = [
-            (request, request.context_len) for request in batch
-        ]
+        self._requests: List[Tuple[Request, int]] = list(zip(batch, contexts))
         self.horizon = horizon
-        blocks = backend.blocks
-        self._block_size = blocks.block_size
+        self._block_size = backend.blocks.block_size
         self._cost = backend.cost
         #: Live block count per request, in batch order (the order the
         #: slow path's framework_overhead walks).
-        self._counts: List[int] = [
-            blocks.allocation(request.request_id).num_blocks
-            for request in batch
-        ]
+        self._counts = counts
         #: Stretch-iteration at which each request grows its next block:
         #: the first i with target c0 + i + 1 > counts * block_size.
         self._grow_at: List[int] = [
@@ -784,43 +780,47 @@ class PagedMemory(MemoryBackend):
         no ``prepare_iteration`` failure (and therefore no preemption)
         anywhere in the stretch. Growth *within* the stretch is fine; the
         plan replays its Block-Table cost consequences exactly.
+
+        K is found in closed form (``bs`` the block size, ``B`` the batch
+        size). ``budget`` is the free pool less the blocks each request
+        already lacks (``ceil(c/bs) - held``, negative when it holds
+        spare ones). Context ``c`` then grows a block at stretch step
+        ``g = (-c % bs) + 1`` and every ``bs`` steps after; every ``g``
+        lies in ``[1, bs]``, so the sorted growth events run in whole
+        rounds and event ``j`` (0-based) lands at
+        ``g_sorted[j % B] + (j // B) * bs``. Event ``budget`` is the
+        first that does not fit, so K ends one step before it.
         """
         blocks = self.blocks
-        contexts: List[int] = []
-        base_counts: List[int] = []
-        for request in batch:
-            contexts.append(request.context_len)
-            base_counts.append(
-                blocks.allocation(request.request_id).num_blocks
-            )
-
-        free = blocks.free_blocks
         block_size = blocks.block_size
+        free = blocks.free_blocks
+        contexts: List[int] = []
+        counts: List[int] = []
+        grow_steps: List[int] = []
+        budget = free
+        for request in batch:
+            context = request.context_len
+            count = blocks.allocation(request.request_id).num_blocks
+            slack = -context % block_size  # free token slots in the last block
+            contexts.append(context)
+            counts.append(count)
+            grow_steps.append(slack + 1)
+            budget += count - (context + slack) // block_size
 
-        def new_blocks(extra_tokens: int) -> int:
-            total = 0
-            for context, count in zip(contexts, base_counts):
-                total += blocks.blocks_needed(context + extra_tokens) - count
-            return total
-
-        # Largest K with new_blocks(K) <= free (monotone in K). Each
-        # request wastes less than one block of slack, so K is bounded
-        # by free blocks' tokens spread across the batch plus one block.
+        # Each request wastes less than one block of slack, so K is
+        # bounded by free blocks' tokens spread across the batch plus
+        # one block.
         high = free * block_size // max(len(batch), 1) + block_size + 1
-        if new_blocks(high) <= free:
+        if not batch:
             horizon = high
         else:
-            low = 0  # new_blocks(0) == 0
-            while high - low > 1:
-                mid = (low + high) // 2
-                if new_blocks(mid) <= free:
-                    low = mid
-                else:
-                    high = mid
-            horizon = low
+            # A negative budget floors to a negative round: no stretch.
+            grow_steps.sort()
+            rounds, rank = divmod(budget, len(batch))
+            horizon = min(high, grow_steps[rank] + rounds * block_size - 1)
         if horizon < 2:
             return None
-        return _PagedDecodePlan(self, batch, horizon)
+        return _PagedDecodePlan(self, batch, horizon, contexts, counts)
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,10 @@ from repro.gpu.device import Device
 from repro.gpu.spec import A100
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
+from repro.serving.memory import PagedMemory
+from repro.serving.request import Request
 from repro.serving.swap import HostSwapSpace
-from repro.units import GB, MB
+from repro.units import GB, MB, ceil_div
 
 RELAXED = settings(
     deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=25
@@ -142,3 +144,88 @@ class TestSharingProperties:
         assert manager.dedup_saved_bytes == (
             b_result.saved_bytes + c_result.saved_bytes
         )
+
+
+def bisected_paged_horizon(blocks, contexts, counts):
+    """The largest K whose block growth fits the free pool, by search:
+    the reference for :meth:`PagedMemory.decode_fast_path`'s closed
+    form. Returns ``(horizon, high, growth)``."""
+    free = blocks.free_blocks
+    block_size = blocks.block_size
+
+    def growth(extra_tokens):
+        return sum(
+            blocks.blocks_needed(context + extra_tokens) - count
+            for context, count in zip(contexts, counts)
+        )
+
+    high = free * block_size // max(len(contexts), 1) + block_size + 1
+    if growth(high) <= free:
+        return high, high, growth
+    low, top = 0, high
+    while top - low > 1:
+        mid = (low + top) // 2
+        if growth(mid) <= free:
+            low = mid
+        else:
+            top = mid
+    return low, high, growth
+
+
+@st.composite
+def paged_batches(draw):
+    """(block_size, contexts, held block counts, free blocks); held
+    counts fall above and below ``ceil(context / block_size)``."""
+    block_size = draw(st.sampled_from([1, 3, 16, 256]))
+    contexts = draw(st.lists(st.integers(1, 4_000), max_size=12))
+    held = [
+        max(0, ceil_div(context, block_size) + draw(st.integers(-3, 3)))
+        for context in contexts
+    ]
+    free = draw(st.integers(0, 200))
+    return block_size, contexts, held, free
+
+
+class TestPagedHorizonProperties:
+    SHARD = ShardedModel(YI_6B, 1)
+
+    @settings(
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+        max_examples=300,
+    )
+    @given(case=paged_batches())
+    def test_closed_form_matches_bisection(self, case):
+        block_size, contexts, held, free = case
+        # One extra block held by a request outside the batch keeps the
+        # pool non-empty when everything else is zero.
+        pool_blocks = sum(held) + free + 1
+        backend = PagedMemory(
+            Device(A100, reserved_bytes=64 * GB),
+            self.SHARD,
+            block_size=block_size,
+            library="vLLM",
+            kv_budget_bytes=pool_blocks * block_size
+            * self.SHARD.kv_bytes_per_token,
+        )
+        blocks = backend.blocks
+        blocks.allocate("outside", block_size)
+        batch = []
+        for index, (context, count) in enumerate(zip(contexts, held)):
+            request = Request(
+                request_id=f"r{index}", prompt_len=context, max_new_tokens=1
+            )
+            blocks.allocate(request.request_id, count * block_size)
+            batch.append(request)
+        assert blocks.free_blocks == free
+
+        expected, high, growth = bisected_paged_horizon(blocks, contexts, held)
+        plan = backend.decode_fast_path(batch)
+        if expected < 2:
+            assert plan is None
+            return
+        assert plan is not None and plan.horizon == expected
+        # The guarantee the horizon exists for: growth through it fits
+        # the free pool, one more step does not unless `high` capped it.
+        assert growth(plan.horizon) <= free
+        assert plan.horizon == high or growth(plan.horizon + 1) > free

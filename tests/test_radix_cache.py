@@ -1,6 +1,8 @@
 """Radix-tree prefix index: matching, splitting, refcounts, LRU."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cache.radix import RadixTree
 from repro.errors import SchedulingError
@@ -216,3 +218,75 @@ class TestStats:
         tree.insert(ids((1, 8)), slot=0, group="g", live=False)
         tree.insert(ids((2, 6)), slot=1, group="g", live=True)
         assert tree.cached_tokens == 8
+
+
+def walked_entries(tree):
+    """Every entry reachable from the root: the tree-walk reference the
+    entry index must agree with."""
+    return {entry.entry_id: entry for entry in tree._root.subtree_entries()}
+
+
+#: Short token runs over a three-letter alphabet, so inserts keep
+#: splitting edges and matches diverge mid-edge.
+TOKENS = st.lists(st.integers(0, 2), min_size=1, max_size=8)
+#: Few distinct timestamps, so LRU ties are common.
+NOW = st.integers(0, 3).map(float)
+OPS = st.one_of(
+    st.tuples(st.just("insert"), TOKENS, st.booleans(), NOW),
+    st.tuples(st.just("match"), TOKENS, NOW),
+    st.tuples(st.just("live"), st.integers(0, 63)),
+    st.tuples(st.just("ref"), st.integers(0, 63), st.integers(-1, 1)),
+    st.tuples(st.just("remove"), st.integers(0, 63)),
+    st.tuples(st.just("evict"),),
+)
+
+
+class TestEntryIndex:
+    @settings(
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+        max_examples=200,
+    )
+    @given(ops=st.lists(OPS, max_size=60))
+    def test_index_agrees_with_tree_walk(self, ops):
+        tree = RadixTree()
+        for op in ops:
+            walked = walked_entries(tree)
+            chosen = (
+                walked[sorted(walked)[op[1] % len(walked)]]
+                if walked and op[0] in ("live", "ref", "remove")
+                else None
+            )
+            if op[0] == "insert":
+                tree.insert(op[1], slot=0, group="g", live=op[2], now=op[3])
+            elif op[0] == "match":
+                tree.match_prefix(op[1], now=op[2])
+            elif op[0] == "live" and chosen is not None:
+                chosen.live = not chosen.live
+            elif op[0] == "ref" and chosen is not None:
+                chosen.ref_count = max(0, chosen.ref_count + op[2])
+            elif op[0] == "remove" and chosen is not None:
+                tree.remove(chosen)
+            elif op[0] == "evict":
+                tree.evict_lru()
+
+            walked = walked_entries(tree)
+            assert {e.entry_id for e in tree.entries} == set(walked)
+            assert tree.entry_count == len(walked)
+            assert tree.cached_tokens == sum(
+                e.tokens for e in walked.values() if not e.live
+            )
+            for entry_id, entry in walked.items():
+                assert tree.get(entry_id) is entry
+            evictable = [e for e in walked.values() if e.evictable]
+            expected = min(
+                evictable,
+                key=lambda e: (e.last_access, e.entry_id),
+                default=None,
+            )
+            assert tree.lru_victim() is expected
+        walked = walked_entries(tree)
+        for entry_id in range(tree._next_entry_id):
+            if entry_id not in walked:
+                with pytest.raises(SchedulingError):
+                    tree.get(entry_id)
