@@ -14,7 +14,11 @@ Two layers of enforcement:
   never construct a serving engine (pure cost-model tables) have
   nothing to sweep; the two that pin ``fast_forward=False`` internally
   (fig12, ext-chunked: their *subject* is the per-iteration series)
-  still run to prove the pin holds.
+  still run to prove the pin holds. The fast-forwarded output of every
+  catalogue entry and cluster shape must also match its sha256 digest
+  in ``tests/golden/catalogue_digests.json`` (see
+  :mod:`tests.catalogue_golden`), so the outputs themselves are pinned
+  as well as their on/off equality.
 
 A pressure oracle then compares the whole vAttention manager state, not
 just the reports, on a long-context engine whose decode stretches
@@ -27,6 +31,7 @@ import random
 
 import pytest
 
+import catalogue_golden
 import fcfs_golden
 import repro.serving.engine as engine_module
 import repro.serving.memory as memory_module
@@ -138,11 +143,17 @@ SWEEP = {
 }
 
 
+@pytest.fixture(scope="module")
+def digests():
+    return catalogue_golden.load()
+
+
 class TestCatalogueSweep:
     @pytest.mark.parametrize("name", sorted(SWEEP))
-    def test_identical_on_and_off(self, name, monkeypatch):
+    def test_identical_on_and_off(self, name, monkeypatch, digests):
         monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", True)
         fast = SWEEP[name]()
+        assert catalogue_golden.digest(fast) == digests["catalogue"][name]
         monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", False)
         legacy = SWEEP[name]()
         assert fast == legacy
@@ -345,9 +356,10 @@ def _cluster_fingerprint(report):
 
 class TestClusterSweep:
     @pytest.mark.parametrize("name", sorted(CLUSTER_SWEEP))
-    def test_identical_on_and_off(self, name, monkeypatch):
+    def test_identical_on_and_off(self, name, monkeypatch, digests):
         monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", True)
         fast = _cluster_fingerprint(CLUSTER_SWEEP[name]())
+        assert catalogue_golden.digest(fast) == digests["cluster"][name]
         monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", False)
         legacy = _cluster_fingerprint(CLUSTER_SWEEP[name]())
         assert fast == legacy
