@@ -16,6 +16,7 @@ Run:  python examples/extensions_tour.py
 
 from repro.core import VAttention, VAttentionConfig
 from repro.gpu import A100, Device
+from repro.memory import MemoryConfig
 from repro.models import YI_6B, ShardedModel
 from repro.serving.engine import EngineConfig, LLMEngine
 from repro.units import GB, MB, fmt_bytes
@@ -59,7 +60,7 @@ def demo_swap() -> None:
             memory_backend="vattention",
             max_batch_size=4,
             kv_budget_bytes=3 * GB,
-            preemption_mode=mode,
+            memory=MemoryConfig(preemption_mode=mode),
             eager_allocation=False,
         ))
         engine.submit(fixed_trace(count=3, prompt_len=16_384,

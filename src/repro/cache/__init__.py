@@ -9,11 +9,11 @@ RadixAttention:
 * :mod:`repro.cache.radix` — a radix tree over prompt token ids mapping
   cached prefixes to resident page-group rows, with reference counts,
   hit/miss/eviction statistics and LRU eviction.
-* :mod:`repro.cache.manager` — the :class:`PrefixCacheManager` memory
-  backend that sits between :class:`~repro.serving.engine.LLMEngine`
-  and :class:`~repro.serving.memory.VAttentionMemory`, aliasing an
-  arriving request's longest cached prefix automatically and retaining
-  finished requests' prefixes instead of freeing them.
+* :mod:`repro.cache.manager` — :class:`PrefixCacheManager`, the cache
+  component of :class:`~repro.memory.manager.MemoryManager`, built on
+  the allocator it evicts from: it aliases an arriving request's
+  longest cached prefix automatically and retains finished requests'
+  prefixes instead of freeing them.
 
 The cache also feeds the layers around it through the side-effect-free
 ``probe_prefix_tokens``: the cluster router ranks replicas by it

@@ -1,8 +1,9 @@
 """Engine-integrated automatic KV prefix reuse (backend-agnostic).
 
-:class:`PrefixCacheManager` is a :class:`~repro.serving.memory.
-MemoryBackend` that wraps a sharing-capable allocator and adds
-RadixAttention-style behaviour:
+:class:`PrefixCacheManager` is the prefix-cache component of
+:class:`~repro.memory.manager.MemoryManager`. It is built on the same
+sharing-capable allocator the manager holds and adds RadixAttention-style
+behaviour:
 
 * When a request is about to prefill, its prompt token ids are matched
   against the radix tree; the longest cached prefix is made resident in
@@ -25,7 +26,7 @@ RadixAttention-style behaviour:
   their rows/blocks to the pool before the engine resorts to
   preempting a running request.
 
-Over vAttention the wrapper reserves extra request slots for
+Over vAttention the engine reserves extra request slots for
 cache-owned prefixes, so a full cache never starves the running batch
 of reqIds; block allocations need no such reservation.
 """
@@ -87,18 +88,17 @@ class PrefixCacheReport:
     cached_bytes: int
 
 
-class PrefixCacheManager(MemoryBackend):
-    """Radix-tree prefix cache between the engine and a backend."""
+class PrefixCacheManager:
+    """Radix-tree prefix cache over the allocator it evicts from."""
 
     def __init__(
         self,
-        inner: MemoryBackend,
+        backend: MemoryBackend,
         budget_bytes: Optional[int] = None,
     ) -> None:
-        self.inner = inner
-        self.layout = inner.layout
+        self.backend = backend
         self.budget_bytes = budget_bytes
-        self.adapter = make_cache_adapter(inner)
+        self.adapter = make_cache_adapter(backend)
         self.tree = RadixTree()
         self.stats = PrefixCacheStats()
         #: request_id -> entry it borrowed a prefix from (ref-counted).
@@ -109,16 +109,6 @@ class PrefixCacheManager(MemoryBackend):
     # ------------------------------------------------------------------
     # Derived state
     # ------------------------------------------------------------------
-    @property
-    def manager(self):
-        """The underlying :class:`~repro.core.vattention.VAttention`.
-
-        Exposed so introspection written against the plain vattention
-        backend (``engine.memory.manager``) keeps working with the
-        cache wrapper in place. Raises for backends without one.
-        """
-        return self.inner.manager
-
     @property
     def clock(self):
         return self.adapter.clock
@@ -143,19 +133,17 @@ class PrefixCacheManager(MemoryBackend):
         )
 
     def telemetry_sample(self) -> Dict[str, float]:
-        # The inner backend's occupancy plus the cache-layer signals.
-        # cached_bytes is skipped deliberately: it walks every entry,
-        # too costly for a per-iteration sample.
-        sample = self.inner.telemetry_sample()
+        """The cache-layer signals (the manager merges them after the
+        allocator's). cached_bytes is skipped deliberately: it walks
+        every entry, too costly for a per-iteration sample."""
         tree = self.tree.stats
-        sample.update({
+        return {
             "cache_hit_rate": tree.hit_rate,
             "cache_lookups_total": float(tree.lookups),
             "cache_hits_total": float(tree.hits),
             "cache_evictions_total": float(self.stats.evictions),
             "shared_prefix_bytes": float(self.adapter.dedup_saved_bytes),
-        })
-        return sample
+        }
 
     def report(self) -> PrefixCacheReport:
         """Snapshot of every cache statistic for the run report."""
@@ -181,9 +169,6 @@ class PrefixCacheManager(MemoryBackend):
             cached_tokens=self.tree.cached_tokens,
             cached_bytes=self.cached_bytes,
         )
-
-    def cache_report(self) -> Optional[PrefixCacheReport]:
-        return self.report()
 
     def probe_prefix_tokens(self, token_ids, limit=None) -> int:
         """Reusable-prefix tokens a prompt would hit right now (no side
@@ -237,7 +222,7 @@ class PrefixCacheManager(MemoryBackend):
             excess -= self._evict_entry(victim) * unit_bytes
 
     # ------------------------------------------------------------------
-    # MemoryBackend interface
+    # Admission and allocation: evict cached prefixes, then retry
     # ------------------------------------------------------------------
     def can_admit(self, request: Request) -> bool:
         if request.resident_tokens_needed > self.adapter.max_context:
@@ -245,7 +230,7 @@ class PrefixCacheManager(MemoryBackend):
         # Admission pressure is the cache's cue to shrink: release
         # slots and rows/blocks before the engine gives up on the
         # request.
-        while not self.inner.can_admit(request):
+        while not self.backend.can_admit(request):
             if not self._evict_one():
                 return False
         return True
@@ -256,7 +241,7 @@ class PrefixCacheManager(MemoryBackend):
                 raise SchedulingError(
                     "no free reqId and no evictable cached prefix"
                 )
-        self.inner.admit(request)
+        self.backend.admit(request)
 
     def before_prefill(self, request: Request) -> None:
         """Share the longest cached prefix into a request about to
@@ -312,7 +297,7 @@ class PrefixCacheManager(MemoryBackend):
     def prepare_iteration(self, batch) -> bool:
         # Evict cached prefixes before the engine resorts to preemption.
         while True:
-            if self.inner.prepare_iteration(batch):
+            if self.backend.prepare_iteration(batch):
                 return True
             if not self._evict_one():
                 return False
@@ -333,7 +318,7 @@ class PrefixCacheManager(MemoryBackend):
             # by the backend).
             self.tree.remove(live)
             self.adapter.unbind_live(live)
-        self.inner.release(request)
+        self.backend.release(request)
 
     def retire(self, request: Request) -> None:
         """Finished request: keep its prefix resident instead of freeing."""
@@ -342,7 +327,7 @@ class PrefixCacheManager(MemoryBackend):
         if live is None:
             # Nothing indexable (no token ids, or a duplicate of an
             # already-cached prefix): free normally.
-            self.inner.release(request)
+            self.backend.release(request)
             return
         keep_tokens = self.adapter.retainable_tokens(live.tokens)
         if keep_tokens <= 0:
@@ -350,7 +335,7 @@ class PrefixCacheManager(MemoryBackend):
             # block): nothing worth retaining.
             self.tree.remove(live)
             self.adapter.unbind_live(live)
-            self.inner.release(request)
+            self.backend.release(request)
             return
         live.live = False
         self.tree.touch(live, self.clock.now)
@@ -359,19 +344,3 @@ class PrefixCacheManager(MemoryBackend):
         self.stats.retained += 1
         self._enforce_budget()
 
-    def after_iteration(self, iteration_seconds: float) -> None:
-        self.inner.after_iteration(iteration_seconds)
-
-    def decode_fast_path(self, batch):
-        """Delegate to the backend: a steady decode stretch never
-        touches the cache (no admissions, no prefills, no memory
-        pressure — the inner plan's horizon guarantees
-        ``prepare_iteration`` would succeed outright, so the wrapper's
-        eviction path stays idle)."""
-        return self.inner.decode_fast_path(batch)
-
-    def framework_overhead(self, running) -> float:
-        return self.inner.framework_overhead(running)
-
-    def append_overhead(self, new_tokens: int) -> float:
-        return self.inner.append_overhead(new_tokens)

@@ -175,7 +175,7 @@ class ClusterConfig:
             )
         if (
             self.routing_policy == "cache_aware"
-            and not self.engine.enable_prefix_cache
+            and not self.engine.memory.enable_prefix_cache
         ):
             raise ConfigError(
                 "cache_aware routing requires enable_prefix_cache on the "
@@ -265,11 +265,10 @@ class Replica(ReplicaView):
     def probe_prefix(self, request: Request) -> int:
         if request.prefix is None:
             return 0
-        probe = getattr(self.engine.memory, "probe_prefix_tokens", None)
-        if probe is None:
-            return 0
         # Same cap a real hit has: one prompt token always computes.
-        return probe(request.prefix.token_ids, limit=request.prompt_len - 1)
+        return self.engine.memory.probe_prefix_tokens(
+            request.prefix.token_ids, limit=request.prompt_len - 1
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Replica({self.index}, {self.role})"

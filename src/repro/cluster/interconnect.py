@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..errors import ConfigError
-from ..serving.swap import PCIE_BANDWIDTH
+from ..memory.tier import PCIE_BANDWIDTH
 from ..units import us
 
 

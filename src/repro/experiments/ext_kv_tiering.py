@@ -1,7 +1,7 @@
 """Extension: hierarchical GPU→CPU KV tiering vs recompute preemption.
 
 The paper's framework preempts with vLLM's recompute policy (S5.3.3);
-the :class:`~repro.memory.manager.MemoryManager` facade adds a
+the :class:`~repro.memory.manager.MemoryManager` adds a
 ``tiered`` preemption mode that demotes a victim's KV to a CPU tier at
 the backend's own granularity (vAttention page-group rows, paged
 blocks) and restores it on re-admission with a demand-paged PCIe
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from ..gpu.spec import A100, GpuSpec
+from ..memory import MemoryConfig
 from ..models.shard import ShardedModel
 from ..models.zoo import YI_6B
 from ..serving.engine import EngineConfig, LLMEngine
@@ -69,7 +70,7 @@ def _run(prompt_len: int, mode: str, gpu: GpuSpec):
             memory_backend="vattention",
             max_batch_size=batch + 1,
             kv_budget_bytes=budget,
-            preemption_mode=mode,
+            memory=MemoryConfig(preemption_mode=mode),
             eager_allocation=False,
         )
     )
@@ -83,9 +84,8 @@ def _run(prompt_len: int, mode: str, gpu: GpuSpec):
     )
     report = engine.run()
     prefills = len(report.metrics.of_phase("prefill"))
-    transfers = (
-        engine.swap_space.stats.swap_ins if engine.swap_space else 0
-    )
+    tier = engine.memory.tier
+    transfers = tier.stats.swap_ins if tier is not None else 0
     return report.p99_ttft(), report.makespan, prefills, transfers
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..gpu.spec import A100, GpuSpec
+from ..memory import MemoryConfig
 from ..models.shard import ShardedModel
 from ..models.zoo import YI_6B
 from ..serving.engine import EngineConfig, LLMEngine
@@ -78,8 +79,9 @@ def _serve(
             gpu=gpu,
             memory_backend="vattention",
             max_batch_size=MAX_BATCH,
-            enable_prefix_cache=enabled,
-            prefix_cache_budget_bytes=budget,
+            memory=MemoryConfig(
+                enable_prefix_cache=enabled, prefix_cache_budget_bytes=budget
+            ),
         )
     )
     engine.submit(

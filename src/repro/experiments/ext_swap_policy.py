@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from ..gpu.spec import A100, GpuSpec
+from ..memory import MemoryConfig
 from ..models.shard import ShardedModel
 from ..models.zoo import YI_6B
 from ..serving.engine import EngineConfig, LLMEngine
@@ -56,7 +57,7 @@ def _run(prompt_len: int, mode: str, gpu: GpuSpec):
             memory_backend="vattention",
             max_batch_size=batch + 1,
             kv_budget_bytes=budget,
-            preemption_mode=mode,
+            memory=MemoryConfig(preemption_mode=mode),
             eager_allocation=False,
         )
     )
@@ -66,9 +67,8 @@ def _run(prompt_len: int, mode: str, gpu: GpuSpec):
     )
     report = engine.run()
     prefills = len(report.metrics.of_phase("prefill"))
-    transfers = (
-        engine.swap_space.stats.swap_ins if engine.swap_space else 0
-    )
+    tier = engine.memory.tier
+    transfers = tier.stats.swap_ins if tier is not None else 0
     return report.makespan, prefills, transfers
 
 

@@ -1,60 +1,41 @@
-"""Consolidated memory configuration for the serving engine.
+"""Memory configuration for the serving engine.
 
-:class:`MemoryConfig` gathers the memory knobs that historically lived
-flat on :class:`~repro.serving.engine.EngineConfig` (prefix cache
-switches, preemption policy, host-tier sizing) into one nested object,
-plus the facade switch introduced with :class:`~repro.memory.manager.
-MemoryManager`. The flat ``EngineConfig`` kwargs remain as deprecated
-aliases — both spellings construct identical engines (see
-``docs/memory.md`` for the migration guide).
+:class:`MemoryConfig` gathers the memory knobs of an
+:class:`~repro.serving.engine.EngineConfig` — prefix cache switches,
+preemption policy, host-tier sizing — into one nested object
+(``EngineConfig(memory=MemoryConfig(...))``) that the engine hands to
+its :class:`~repro.memory.manager.MemoryManager`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConfigError
 from ..units import GB
 
-#: Default for :attr:`MemoryConfig.facade`. A module-level constant
-#: (read at construction time) so equivalence sweeps can flip a whole
-#: experiment run without threading a knob through every driver:
-#: ``monkeypatch.setattr(memory_config_module, "DEFAULT_MEMORY_FACADE",
-#: False)`` — the same pattern as ``engine.DEFAULT_FAST_FORWARD``.
-DEFAULT_MEMORY_FACADE = True
-
 #: Preemption policies the engine understands. ``tiered`` is the
-#: facade-managed hierarchical GPU→CPU policy: victims move to the host
-#: tier at backend granularity (vAttention page-group rows, Paged
-#: blocks) instead of the flat byte count legacy ``swap`` uses.
+#: hierarchical GPU→CPU policy: victims move to the host tier at
+#: backend granularity (vAttention page-group rows, Paged blocks)
+#: instead of the flat byte count ``swap`` uses.
 PREEMPTION_MODES = ("recompute", "swap", "tiered")
-
-
-def _default_memory_facade() -> bool:
-    return DEFAULT_MEMORY_FACADE
 
 
 @dataclass
 class MemoryConfig:
-    """Memory-subsystem configuration nested under ``EngineConfig``.
-
-    Every field mirrors a deprecated flat ``EngineConfig`` alias; when
-    both spellings are given, the flat alias wins (so
-    ``dataclasses.replace(config, preemption_mode=...)`` keeps working
-    on configs that were built either way).
-    """
+    """Memory-subsystem configuration nested under ``EngineConfig``."""
 
     #: What to do with preemption victims: "recompute" (vLLM default,
     #: the paper's behaviour), "swap" (S5.3.3 future work: whole KV
-    #: cache over PCIe) or "tiered" (facade-managed GPU→CPU tier with
+    #: cache over PCIe) or "tiered" (GPU→CPU tier with
     #: backend-granular transfers and demand-paged restore).
     preemption_mode: str = "recompute"
     #: Pinned host memory available to the CPU KV tier (swap/tiered).
     swap_host_bytes: int = 64 * GB
     #: Automatic KV prefix reuse via the radix-tree cache. Supported on
     #: the vattention backend (page aliasing, S8.1) and — through the
-    #: facade's backend adapters — on the paged backend (vLLM-style
+    #: cache's backend adapters — on the paged backend (vLLM-style
     #: full-block sharing). UVM and static slots cannot share KV.
     enable_prefix_cache: bool = False
     #: Extra vAttention request slots reserved to hold cached prefixes
@@ -63,11 +44,6 @@ class MemoryConfig:
     #: Cap on bytes retained by cache-owned prefixes (None = bounded
     #: only by slots and memory-pressure eviction).
     prefix_cache_budget_bytes: Optional[int] = None
-    #: Route the engine through the :class:`~repro.memory.manager.
-    #: MemoryManager` facade (default). Off = the PR-9 legacy paths:
-    #: raw backend plus engine-inline swap handling; byte-identical by
-    #: the equivalence sweep.
-    facade: bool = field(default_factory=_default_memory_facade)
 
     def __post_init__(self) -> None:
         if self.preemption_mode not in PREEMPTION_MODES:

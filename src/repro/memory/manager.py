@@ -1,21 +1,34 @@
-"""Unified MemoryManager facade: one memory subsystem for the engine.
+"""MemoryManager: the one memory object the serving engine talks to.
 
-The engine historically talked to three loosely-coupled pieces — a
-:class:`~repro.serving.memory.MemoryBackend`, the radix prefix cache
-bolted onto the vAttention backend, and a swap space off to the side in
-``serving/swap.py``. This module composes them behind one facade in the
-style of sglang's ``mem_cache_v2``: the engine speaks
-``allocate_request`` / ``allocate_tokens`` / ``cache_finished_request``
-/ ``evict`` / ``tier_transfer`` and the facade routes each verb through
-the backend, the cache, and the hierarchical GPU→CPU KV tier.
+In the style of sglang's ``mem_cache_v2``, the manager *holds* its
+parts instead of stacking wrappers:
+
+* ``backend`` — the raw KV allocator (a
+  :class:`~repro.serving.memory.MemoryBackend`);
+* ``cache`` — the radix prefix cache
+  (:class:`~repro.cache.manager.PrefixCacheManager`, built on that same
+  allocator), or ``None``;
+* ``tier`` — the CPU KV tier (:class:`~repro.memory.tier.CpuKvTier`)
+  behind the ``swap`` and ``tiered`` preemption modes, or ``None``.
+
+The engine speaks ``allocate_request`` / ``allocate_tokens`` /
+``cache_finished_request`` / ``evict`` / ``tier_transfer`` plus the
+prefix-cache hooks, and the manager routes each verb to the cache (whose
+admission and allocation evict cached prefixes and retry before giving
+up) or straight to the allocator. Per-iteration cost queries
+(``framework_overhead``, ``append_overhead``, ``after_iteration``,
+``decode_fast_path``) belong to the allocator alone; callers read them
+off ``backend``. A steady decode stretch never touches the cache: no
+admissions, no prefills, and the allocator plan's horizon guarantees
+``prepare_iteration`` succeeds outright, so the cache's eviction path
+stays idle.
 
 Eviction policy lives here (``MemoryConfig.preemption_mode``):
 
 * ``recompute`` — drop the KV; re-admission prefills again (vLLM's
   default, the paper's behaviour).
-* ``swap`` — the legacy whole-cache policy: ``context_len *
+* ``swap`` — the whole-cache policy: ``context_len *
   kv_bytes_per_token`` moves over PCIe regardless of layout.
-  Byte-identical to the pre-facade engine-inline path.
 * ``tiered`` — cache-aware hierarchical eviction: the transfer is
   sized at backend granularity (vAttention page-group rows via the
   manager's own row math — demand-paged restore re-maps exactly those
@@ -24,32 +37,34 @@ Eviction policy lives here (``MemoryConfig.preemption_mode``):
   count. Under pressure this prefers tiering over recompute whenever
   the victim's prefill is done and the host tier has room.
 
-The facade performs no clock or telemetry operations itself — each verb
-returns a :class:`TierTransfer` describing what moved, and the engine
-charges the seconds to the simulated clock and emits the
-``tier_transfer`` event. That keeps the facade reusable from replay
-tooling and keeps facade-on runs byte-identical to the legacy paths.
+The manager performs no clock or telemetry operations itself — each
+tier verb returns a :class:`TierTransfer` describing what moved, and the
+engine charges the seconds to the simulated clock and emits the
+``tier_transfer`` event. That keeps the manager reusable from replay
+tooling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from ..models.shard import ShardedModel
 from ..serving.memory import MemoryBackend, PagedMemory, VAttentionMemory
 from ..serving.request import Request
 from .tier import CpuKvTier
 
+if TYPE_CHECKING:  # repro.cache builds on repro.serving.memory
+    from ..cache.manager import PrefixCacheManager, PrefixCacheReport
+
 
 @dataclass(frozen=True)
 class TierTransfer:
-    """Outcome of one facade verb that may have moved KV across tiers.
+    """Outcome of one verb that may have moved KV across tiers.
 
-    ``nbytes == 0`` means nothing moved (a recompute eviction, or an
-    admission with nothing to restore); the engine advances the clock
-    by ``seconds`` and emits a ``tier_transfer`` event only when bytes
-    actually moved.
+    ``nbytes == 0`` means nothing moved (a recompute eviction); the
+    engine advances the clock by ``seconds`` and emits a
+    ``tier_transfer`` event only when bytes actually moved.
     """
 
     #: "out" (GPU→CPU) or "in" (CPU→GPU).
@@ -66,79 +81,60 @@ class TierTransfer:
 _NO_TRANSFER_OUT = TierTransfer("out", 0, 0.0, "recompute")
 
 
-class MemoryManager(MemoryBackend):
-    """Facade composing a backend, the prefix cache, and the CPU tier.
-
-    The ``backend`` may itself be a
-    :class:`~repro.cache.manager.PrefixCacheManager` wrapping the raw
-    allocator — the facade is cache-agnostic and unwraps one layer only
-    where tier-transfer sizing needs the raw backend's units.
-    Everything the unified verbs do not cover delegates to the backend
-    (explicitly for the :class:`MemoryBackend` surface, via
-    ``__getattr__`` for backend-specific extras like
-    ``probe_prefix_tokens``, ``manager`` or ``committed_bytes``), so
-    every existing ``engine.memory.*`` consumer keeps working.
-    """
+class MemoryManager:
+    """The engine's memory: an allocator, its prefix cache, the CPU tier."""
 
     def __init__(
         self,
         backend: MemoryBackend,
         shard: ShardedModel,
+        cache: Optional["PrefixCacheManager"] = None,
         tier: Optional[CpuKvTier] = None,
         preemption_mode: str = "recompute",
     ) -> None:
         self.backend = backend
-        self.shard = shard
+        self.cache = cache
         self.tier = tier
+        self.shard = shard
         self.preemption_mode = preemption_mode
-        self.layout = backend.layout
+        #: Where admission and allocation go: the cache evicts cached
+        #: prefixes and retries before reporting a shortfall.
+        self._alloc = backend if cache is None else cache
 
-    def __getattr__(self, name: str):
-        # Only consulted for names the facade does not define itself:
-        # backend-specific extras (probe_prefix_tokens, manager, inner,
-        # blocks, region, committed_bytes, ...) pass straight through,
-        # and their absence raises AttributeError exactly as before.
-        return getattr(self.backend, name)
-
-    # -- classic MemoryBackend surface: pure delegation ----------------
     def can_admit(self, request: Request) -> bool:
-        return self.backend.can_admit(request)
-
-    def admit(self, request: Request) -> None:
-        self.backend.admit(request)
-
-    def prepare_iteration(self, batch: Sequence[Request]) -> bool:
-        return self.backend.prepare_iteration(batch)
+        return self._alloc.can_admit(request)
 
     def release(self, request: Request) -> None:
-        self.backend.release(request)
+        """Free a preemption victim's memory; nothing is retained."""
+        self._alloc.release(request)
 
-    def retire(self, request: Request) -> None:
-        self.backend.retire(request)
-
+    # -- prefix cache --------------------------------------------------
     def before_prefill(self, request: Request) -> None:
-        self.backend.before_prefill(request)
+        """Share the longest cached prefix into ``request`` before its
+        first prefill work."""
+        if self.cache is not None:
+            self.cache.before_prefill(request)
 
     def note_prefill_complete(self, request: Request) -> None:
-        self.backend.note_prefill_complete(request)
+        """Index a just-prefilled prompt's KV for reuse."""
+        if self.cache is not None:
+            self.cache.note_prefill_complete(request)
 
-    def cache_report(self):
-        return self.backend.cache_report()
+    def probe_prefix_tokens(self, token_ids, limit=None) -> int:
+        """Prompt tokens a cache hit would deliver now (0 without a
+        cache); side-effect free."""
+        if self.cache is None:
+            return 0
+        return self.cache.probe_prefix_tokens(token_ids, limit=limit)
 
-    def after_iteration(self, iteration_seconds: float) -> None:
-        self.backend.after_iteration(iteration_seconds)
-
-    def framework_overhead(self, running: Sequence[Request]) -> float:
-        return self.backend.framework_overhead(running)
-
-    def append_overhead(self, new_tokens: int) -> float:
-        return self.backend.append_overhead(new_tokens)
-
-    def decode_fast_path(self, batch: Sequence[Request]):
-        return self.backend.decode_fast_path(batch)
+    def cache_report(self) -> Optional["PrefixCacheReport"]:
+        """Prefix-cache statistics, or ``None`` without a cache."""
+        return None if self.cache is None else self.cache.report()
 
     def telemetry_sample(self) -> Dict[str, float]:
         sample = dict(self.backend.telemetry_sample())
+        if self.cache is not None:
+            sample.update(self.cache.telemetry_sample())
         if self.tier is not None:
             sample.update(self.tier.telemetry_sample())
         return sample
@@ -146,8 +142,9 @@ class MemoryManager(MemoryBackend):
     # -- unified verbs -------------------------------------------------
     def allocate_request(self, request: Request) -> Optional[TierTransfer]:
         """Admit ``request``; demand-page its KV back from the CPU tier
-        if a previous eviction moved it there."""
-        self.backend.admit(request)
+        if a previous eviction moved it there (``None``: nothing to
+        restore)."""
+        self._alloc.admit(request)
         if request.swapped and self.tier is not None:
             nbytes = self.tier.resident_bytes(request.request_id)
             seconds = self.tier.swap_in(request.request_id)
@@ -156,10 +153,17 @@ class MemoryManager(MemoryBackend):
         return None
 
     def allocate_tokens(self, batch: Sequence[Request]) -> bool:
-        return self.backend.prepare_iteration(batch)
+        """Ensure memory for the tokens ``batch`` produces this
+        iteration; False => a preemption is needed."""
+        return self._alloc.prepare_iteration(batch)
 
     def cache_finished_request(self, request: Request) -> None:
-        self.backend.retire(request)
+        """Retire a finished request: the cache keeps its prompt KV,
+        otherwise the allocator frees it."""
+        if self.cache is not None:
+            self.cache.retire(request)
+        else:
+            self.backend.release(request)
         if self.tier is not None:
             # A finished request cannot still be tier-resident (restore
             # precedes re-admission), but keep the tier's view closed.
@@ -172,8 +176,8 @@ class MemoryManager(MemoryBackend):
         its KV *contents* go. Tiering is preferred whenever the policy
         allows it, the victim's prefill is done (a half-built prompt is
         cheaper to recompute than to round-trip), and the host tier has
-        capacity — the capacity probe's rejection counter is part of
-        the accounting contract with the legacy path.
+        capacity (a rejected capacity probe ticks the tier's
+        ``rejected_for_capacity`` counter).
         """
         if self.tier is not None and victim.prefill_done:
             nbytes = (
@@ -217,7 +221,7 @@ class MemoryManager(MemoryBackend):
         Computed from layout math, not live allocations — the victim's
         GPU memory is already released when eviction policy runs.
         """
-        backend = getattr(self.backend, "inner", self.backend)
+        backend = self.backend
         if isinstance(backend, VAttentionMemory):
             manager = backend.manager
             rows = manager.rows_for_context(victim.context_len)

@@ -571,10 +571,10 @@ class EngineTelemetry:
             self._open_preempts[victim.request_id] = engine.clock.now
 
     def on_tier_transfer(self, engine, request, transfer) -> None:
-        """KV moved across the GPU↔CPU tier boundary (facade verbs).
+        """KV moved across the GPU↔CPU tier boundary (manager verbs).
 
         ``transfer`` is the :class:`~repro.memory.manager.TierTransfer`
-        the facade returned; the engine has already charged its seconds
+        the memory manager returned; the engine has already charged its seconds
         to the clock, so the event lands at the transfer's end time
         (stream-clock monotonicity holds). The trace checker matches
         "out"/"in" pairs per request for KV conservation across tiers.
@@ -674,7 +674,7 @@ class EngineTelemetry:
         sample = engine.memory.telemetry_sample()
         if sample:
             self._apply_backend_sample(now, sample)
-        swap = engine.swap_space
+        swap = engine.memory.tier
         if swap is not None:
             self.registry.gauge(
                 "swap_bytes_used", self.scope, "memory", "B"

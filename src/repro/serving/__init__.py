@@ -1,8 +1,8 @@
 """Serving framework: requests, memory backends, engine.
 
 Scheduling policies live in :mod:`repro.scheduling`; the engine selects
-one via ``EngineConfig.scheduler_policy``. ``FcfsScheduler`` and
-``peak_batch_size`` are re-exported here for compatibility.
+one via ``EngineConfig.scheduler_policy``. The engine's memory manager
+and CPU KV tier live in :mod:`repro.memory`.
 """
 
 from .engine import (
@@ -20,14 +20,10 @@ from .memory import (
     VAttentionMemory,
 )
 from .request import PrefixDescriptor, Request, RequestState
-from .scheduler import FcfsScheduler, peak_batch_size
-from .swap import HostSwapSpace, SwapStats
 
 __all__ = [
     "DEFAULT_WORKSPACE_BYTES",
     "EngineConfig",
-    "FcfsScheduler",
-    "HostSwapSpace",
     "ITERATION_CPU_OVERHEAD",
     "LLMEngine",
     "MemoryBackend",
@@ -37,8 +33,6 @@ __all__ = [
     "Request",
     "RequestState",
     "StaticMemory",
-    "SwapStats",
     "UvmMemory",
     "VAttentionMemory",
-    "peak_batch_size",
 ]

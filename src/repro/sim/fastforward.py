@@ -396,7 +396,7 @@ class DecodeFastForwarder:
         if horizon < 2:
             return self._prove_failed(budget, state)
         # --- Bound (1): the memory backend's steady-state promise.
-        plan = engine.memory.decode_fast_path(batch)
+        plan = engine.memory.backend.decode_fast_path(batch)
         if plan is None:
             return self._prove_failed(budget, state)
         if plan.horizon < horizon:

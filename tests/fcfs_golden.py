@@ -24,6 +24,7 @@ import os
 from typing import Dict, List
 
 from repro.gpu.spec import A100
+from repro.memory import MemoryConfig
 from repro.metrics.collector import RunReport
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
@@ -96,7 +97,9 @@ def _paged(**config) -> RunReport:
 
 def _prefix_cached(**config) -> RunReport:
     """FCFS with the radix prefix cache on a shared-prefix trace."""
-    engine = LLMEngine(_base_config(enable_prefix_cache=True, **config))
+    engine = LLMEngine(_base_config(
+        memory=MemoryConfig(enable_prefix_cache=True), **config
+    ))
     trace = shared_prefix_trace(
         count=16,
         sharing_factor=4,

@@ -18,6 +18,7 @@ from repro.cluster import (
 from repro.cluster.autoscaler import AutoscalerPolicy, policy_names
 from repro.errors import ConfigError
 from repro.gpu.spec import A100
+from repro.memory import MemoryConfig
 from repro.metrics.rolling import RollingPercentileTracker
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
@@ -34,7 +35,7 @@ def engine_config(cache: bool = False, max_batch: int = 8) -> EngineConfig:
         gpu=A100,
         memory_backend="vattention",
         max_batch_size=max_batch,
-        enable_prefix_cache=cache,
+        memory=MemoryConfig(enable_prefix_cache=cache),
     )
 
 

@@ -12,6 +12,7 @@ gaps jump the fleet clock without inventing work.
 
 import pytest
 
+from repro.memory import MemoryConfig
 import repro.serving.engine as engine_module
 from repro.cluster import ClusterConfig, ClusterEngine
 from repro.cluster.autoscaler import AutoscalerPolicy, ScaleDecision
@@ -32,7 +33,7 @@ def engine_config(cache: bool = True, max_batch: int = 8) -> EngineConfig:
         gpu=A100,
         memory_backend="vattention",
         max_batch_size=max_batch,
-        enable_prefix_cache=cache,
+        memory=MemoryConfig(enable_prefix_cache=cache),
     )
 
 

@@ -4,6 +4,7 @@ backend/policy combinations, iteration-level accounting."""
 import pytest
 
 from repro.gpu.spec import A100, H100
+from repro.memory import MemoryConfig
 from repro.models.shard import ShardedModel
 from repro.models.zoo import LLAMA3_8B, YI_6B
 from repro.serving.engine import (
@@ -103,7 +104,7 @@ class TestPolicyMatrix:
 
     def test_swap_plus_chunked_compose(self):
         engine = make_engine(
-            preemption_mode="swap",
+            memory=MemoryConfig(preemption_mode="swap"),
             prefill_chunk_size=2_048,
             kv_budget_bytes=3 * GB,
             eager_allocation=False,
@@ -120,7 +121,7 @@ class TestPolicyMatrix:
         report = engine.run()
         assert len(report.finished_requests) == 4
         # 64-token rows: mapping counters reflect the finer granularity.
-        assert engine.memory.manager.stats.rows_mapped >= 4 * (2_000 // 64)
+        assert engine.memory.backend.manager.stats.rows_mapped >= 4 * (2_000 // 64)
 
     def test_h100_chunked_fa3(self):
         engine = make_engine(
@@ -146,12 +147,12 @@ class TestTpDeployments:
     def test_tp2_halves_per_worker_kv(self):
         tp1 = make_engine(shard=ShardedModel(LLAMA3_8B, 1))
         tp2 = make_engine(shard=ShardedModel(LLAMA3_8B, 2))
-        row1 = tp1.memory.manager.config.row_bytes
-        row2 = tp2.memory.manager.config.row_bytes
+        row1 = tp1.memory.backend.manager.config.row_bytes
+        row2 = tp2.memory.backend.manager.config.row_bytes
         assert row1 == row2  # same 2N x 2MB rows...
         assert (
-            tp2.memory.manager.config.tokens_per_page_group
-            == 2 * tp1.memory.manager.config.tokens_per_page_group
+            tp2.memory.backend.manager.config.tokens_per_page_group
+            == 2 * tp1.memory.backend.manager.config.tokens_per_page_group
         )  # ...but each row holds twice the tokens per worker
 
 

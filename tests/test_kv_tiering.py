@@ -17,6 +17,7 @@ import pytest
 
 from repro.experiments import ext_kv_tiering
 from repro.gpu.spec import A100
+from repro.memory import MemoryConfig
 from repro.metrics.telemetry import TelemetryRegistry, enabled
 from repro.metrics.tracecheck import check_trace
 from repro.models.shard import ShardedModel
@@ -61,7 +62,7 @@ def _pressured_run(mode: str = "tiered"):
             memory_backend="vattention",
             max_batch_size=4,
             kv_budget_bytes=budget,
-            preemption_mode=mode,
+            memory=MemoryConfig(preemption_mode=mode),
             eager_allocation=False,
         )
     )

@@ -13,10 +13,12 @@ from repro.cluster import ClusterConfig, ClusterEngine
 from repro.errors import SchedulingError
 from repro.experiments.ext_cluster_router import cluster_trace
 from repro.gpu.spec import A100
+from repro.memory import MemoryConfig
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
 from repro.paged.block_manager import BlockManager
 from repro.serving.engine import EngineConfig, LLMEngine
+from repro.serving.memory import PagedMemory
 from repro.units import GB
 from repro.workloads.traces import fixed_trace, shared_prefix_trace
 
@@ -119,7 +121,7 @@ def build_engine(enabled: bool = True, **overrides) -> LLMEngine:
         prefill_kernel="fa2",  # the vLLM system shape (see common.py)
         decode_kernel="vllm_paged",
         max_batch_size=8,
-        enable_prefix_cache=enabled,
+        memory=MemoryConfig(enable_prefix_cache=enabled),
     )
     config.update(overrides)
     return LLMEngine(EngineConfig(**config))
@@ -135,8 +137,9 @@ def serve(engine: LLMEngine, trace):
 class TestPagedEngineCache:
     def test_engine_wraps_paged_backend(self):
         engine = build_engine(True)
-        backend = getattr(engine.memory, "backend", engine.memory)
-        assert isinstance(backend, PrefixCacheManager)
+        assert isinstance(engine.memory.cache, PrefixCacheManager)
+        assert isinstance(engine.memory.cache.backend, PagedMemory)
+        assert engine.memory.cache.backend is engine.memory.backend
 
     def test_shared_prompts_hit_and_win(self):
         def trace():
@@ -209,7 +212,9 @@ class TestPagedEngineCache:
     def test_budget_bounds_retained_bytes(self):
         budget = 2 * GB
         report, _ = serve(
-            build_engine(True, prefix_cache_budget_bytes=budget),
+            build_engine(memory=MemoryConfig(
+                enable_prefix_cache=True, prefix_cache_budget_bytes=budget
+            )),
             shared_prefix_trace(count=24, sharing_factor=4,
                                 prefix_tokens=8_192),
         )
@@ -241,7 +246,7 @@ class TestPagedEngineCache:
         # Cumulative savings survive in the report while the pool's
         # live dedup drains as requests finish (retained cache entries
         # no longer alias into any live request).
-        assert engine.memory.report().bytes_saved > 0
+        assert engine.memory.cache.report().bytes_saved > 0
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +263,7 @@ class TestCacheAwareRoutingOverPaged:
                     prefill_kernel="fa2",
                     decode_kernel="vllm_paged",
                     max_batch_size=8,
-                    enable_prefix_cache=True,
+                    memory=MemoryConfig(enable_prefix_cache=True),
                 ),
                 n_replicas=2,
                 routing_policy=policy,

@@ -3,11 +3,14 @@
 import pytest
 
 from repro.cache.manager import PrefixCacheManager
+from repro.core.vattention import VAttention
 from repro.errors import ConfigError
 from repro.gpu.spec import A100
+from repro.memory import MemoryConfig
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
 from repro.serving.engine import EngineConfig, LLMEngine
+from repro.serving.memory import VAttentionMemory
 from repro.serving.request import PrefixDescriptor, Request
 from repro.units import GB, MB
 from repro.workloads.traces import (
@@ -23,7 +26,7 @@ def build_engine(enabled: bool = True, **overrides) -> LLMEngine:
         gpu=A100,
         memory_backend="vattention",
         max_batch_size=8,
-        enable_prefix_cache=enabled,
+        memory=MemoryConfig(enable_prefix_cache=enabled),
     )
     config.update(overrides)
     return LLMEngine(EngineConfig(**config))
@@ -46,40 +49,41 @@ class TestConfig:
                     shard=ShardedModel(YI_6B, 1),
                     gpu=A100,
                     memory_backend=backend,
-                    enable_prefix_cache=True,
+                    memory=MemoryConfig(enable_prefix_cache=True),
                 )
         for backend in ("vattention", "paged"):
             EngineConfig(
                 shard=ShardedModel(YI_6B, 1),
                 gpu=A100,
                 memory_backend=backend,
-                enable_prefix_cache=True,
+                memory=MemoryConfig(enable_prefix_cache=True),
             )
 
     def test_cache_slots_must_be_positive(self):
         with pytest.raises(ConfigError):
-            build_engine(prefix_cache_slots=0)
+            MemoryConfig(enable_prefix_cache=True, prefix_cache_slots=0)
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ConfigError):
-            build_engine(prefix_cache_budget_bytes=-1)
+            MemoryConfig(
+                enable_prefix_cache=True, prefix_cache_budget_bytes=-1
+            )
 
     def test_wrapper_exposes_vattention_manager(self):
-        # engine.memory.manager is the established introspection path
-        # for the vattention backend; the cache wrapper preserves it.
+        # The cache is built on the manager's own allocator, so the
+        # vattention manager is reachable from either.
         engine = build_engine(True)
-        assert engine.memory.manager is engine.memory.inner.manager
+        assert engine.memory.cache.backend is engine.memory.backend
+        assert isinstance(engine.memory.backend.manager, VAttention)
 
     def test_enabled_engine_wraps_memory(self):
-        # The facade's composed backend is the cache wrapper.
         engine = build_engine(True)
-        backend = getattr(engine.memory, "backend", engine.memory)
-        assert isinstance(backend, PrefixCacheManager)
+        assert isinstance(engine.memory.cache, PrefixCacheManager)
 
     def test_disabled_engine_unwrapped(self):
         engine = build_engine(False)
-        backend = getattr(engine.memory, "backend", engine.memory)
-        assert not isinstance(backend, PrefixCacheManager)
+        assert engine.memory.cache is None
+        assert isinstance(engine.memory.backend, VAttentionMemory)
 
 
 class TestPrefixDescriptor:
@@ -233,7 +237,7 @@ class TestEndToEnd:
         )
         engine.run()
         # Cumulative savings survive in the final report.
-        assert engine.memory.report().bytes_saved > 0
+        assert engine.memory.cache.report().bytes_saved > 0
 
 
 class TestRetainedSlots:
@@ -248,10 +252,10 @@ class TestRetainedSlots:
         )
         engine.submit(trace)
         engine.run()
-        vat = engine.memory.inner.manager
+        vat = engine.memory.backend.manager
         rows_needed = {
             e.slot: vat.rows_for_context(e.tokens)
-            for e in engine.memory.tree.entries
+            for e in engine.memory.cache.tree.entries
             if not e.live
         }
         assert rows_needed
@@ -264,7 +268,9 @@ class TestEvictionAndBudget:
     def test_budget_bounds_retained_bytes(self):
         budget = 2 * GB
         report, _ = serve(
-            build_engine(True, prefix_cache_budget_bytes=budget),
+            build_engine(memory=MemoryConfig(
+                enable_prefix_cache=True, prefix_cache_budget_bytes=budget
+            )),
             shared_prefix_trace(count=24, sharing_factor=4,
                                 prefix_tokens=8_192),
         )
@@ -280,7 +286,9 @@ class TestEvictionAndBudget:
 
         report_off, ttft_off = serve(build_engine(False), trace())
         report_on, ttft_on = serve(
-            build_engine(True, prefix_cache_budget_bytes=1 * MB), trace()
+            build_engine(memory=MemoryConfig(
+                enable_prefix_cache=True, prefix_cache_budget_bytes=1 * MB
+            )), trace()
         )
         assert report_on.prefix_cache.hits > 0
         assert ttft_on < ttft_off

@@ -11,11 +11,11 @@ from repro.core.config import VAttentionConfig
 from repro.core.vattention import VAttention
 from repro.gpu.device import Device
 from repro.gpu.spec import A100
+from repro.memory import CpuKvTier
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
 from repro.serving.memory import PagedMemory
 from repro.serving.request import Request
-from repro.serving.swap import HostSwapSpace
 from repro.units import GB, MB, ceil_div
 
 RELAXED = settings(
@@ -66,7 +66,7 @@ class TestSwapSpaceProperties:
         )
     )
     def test_capacity_never_negative(self, ops):
-        space = HostSwapSpace(capacity=256 * MB)
+        space = CpuKvTier(capacity=256 * MB)
         resident = set()
         for key, size in ops:
             rid = f"r{key}"

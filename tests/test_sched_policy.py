@@ -8,6 +8,7 @@ import pytest
 import fcfs_golden
 from repro.errors import ConfigError, SchedulingError
 from repro.gpu.spec import A100
+from repro.memory import MemoryConfig
 from repro.models.shard import ShardedModel
 from repro.models.zoo import YI_6B
 from repro.scheduling import (
@@ -298,7 +299,7 @@ class TestHybridEngine:
         engine = make_engine(
             scheduler_policy="hybrid",
             sched_token_budget=4_096,
-            enable_prefix_cache=True,
+            memory=MemoryConfig(enable_prefix_cache=True),
         )
         trace = shared_prefix_trace(
             count=2,
