@@ -8,7 +8,9 @@ commit produced. ``tests/golden/catalogue_digests.json`` adds that
 oracle: the sha256 of ``repr(output)`` for every ``SWEEP`` entry and of
 ``repr(_cluster_fingerprint(report))`` for every ``CLUSTER_SWEEP``
 entry. The sweep tests assert the digest of the result they already
-compute, so the check costs no extra run.
+compute, so the check costs no extra run. For the ``TRACE_PINS``
+cluster shapes it also pins the sha256 of the whole span-telemetry
+JSONL trace, so the telemetry-on execution order is pinned as well.
 
 The golden was captured by running this module standalone::
 
@@ -24,7 +26,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Dict
+from typing import Any, Callable, Dict
+
+from repro.metrics.telemetry import TelemetryRegistry, enabled
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "golden", "catalogue_digests.json"
@@ -34,6 +38,23 @@ GOLDEN_PATH = os.path.join(
 def digest(value: Any) -> str:
     """sha256 of ``repr(value)``."""
     return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+#: Cluster shapes whose span-telemetry trace is pinned: a static fleet
+#: under a state-aware router and an elastic fleet.
+TRACE_PINS = ("router:cache_aware", "autoscale:queue_depth")
+
+
+def trace_digest(run: Callable[[], Any]) -> str:
+    """sha256 of the JSONL trace ``run()`` records with spans on (the
+    text :meth:`TelemetryRegistry.write_jsonl` would write)."""
+    with enabled(TelemetryRegistry(record_spans=True)) as registry:
+        run()
+    text = "".join(
+        json.dumps(record, sort_keys=True) + "\n"
+        for record in registry.trace_records()
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def load() -> Dict[str, Dict[str, str]]:
@@ -56,6 +77,9 @@ def capture() -> Dict[str, Dict[str, str]]:
             name: digest(_cluster_fingerprint(run()))
             for name, run in CLUSTER_SWEEP.items()
         },
+        "telemetry": {
+            name: trace_digest(CLUSTER_SWEEP[name]) for name in TRACE_PINS
+        },
     }
 
 
@@ -70,8 +94,9 @@ def main() -> None:
         for section, entries in payload.items()
         for name, value in entries.items()
     ))
-    print(f"wrote {GOLDEN_PATH}: {len(payload['catalogue'])} catalogue "
-          f"and {len(payload['cluster'])} cluster digests, combined "
+    print(f"wrote {GOLDEN_PATH}: {len(payload['catalogue'])} catalogue, "
+          f"{len(payload['cluster'])} cluster and "
+          f"{len(payload['telemetry'])} trace digests, combined "
           f"{combined[:16]}")
 
 

@@ -36,7 +36,7 @@ import fcfs_golden
 import repro.serving.engine as engine_module
 import repro.serving.memory as memory_module
 from repro.cluster.autoscaler import AUTOSCALER_POLICIES
-from repro.cluster.engine import ClusterEngine
+from repro.cluster.engine import ClusterConfig, ClusterEngine
 from repro.cluster.router import policy_names
 from repro.experiments import (
     ext_autoscale,
@@ -309,6 +309,38 @@ def _windowed_case(fleet, policy):
     return case
 
 
+def _paged_case(policy, n_replicas):
+    """A PagedAttention fleet with the radix prefix cache, routed by a
+    state-aware ``policy``: the analytic router-state replay then builds
+    stretch oracles over Paged plans, whose framework overhead varies
+    with block growth across the stretch."""
+
+    def case():
+        engine = EngineConfig(
+            shard=ShardedModel(YI_6B, 1),
+            gpu=A100,
+            memory_backend="paged",
+            prefill_kernel="fa2_paged",
+            decode_kernel="fa2_paged",
+            block_size=256,
+            kv_budget_bytes=8 * GB,
+            memory=MemoryConfig(enable_prefix_cache=True),
+        )
+        cluster = ClusterEngine(
+            ClusterConfig(
+                engine=engine, n_replicas=n_replicas, routing_policy=policy
+            )
+        )
+        cluster.submit(
+            ext_cluster_router.cluster_trace(
+                count=160, sharing_factor=4, qps=4.0
+            )
+        )
+        return cluster.run()
+
+    return case
+
+
 CLUSTER_SWEEP = {
     **{
         f"router:{policy}": _router_case(policy) for policy in policy_names()
@@ -323,6 +355,10 @@ CLUSTER_SWEEP = {
         for fleet in ("queue_depth", "sla")
         for policy in ("round_robin", "cache_aware")
     },
+    "paged:least_outstanding_tokens": _paged_case(
+        "least_outstanding_tokens", 2
+    ),
+    "paged:cache_aware": _paged_case("cache_aware", 4),
 }
 
 
@@ -363,6 +399,15 @@ class TestClusterSweep:
         monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", False)
         legacy = _cluster_fingerprint(CLUSTER_SWEEP[name]())
         assert fast == legacy
+
+    @pytest.mark.parametrize("name", catalogue_golden.TRACE_PINS)
+    def test_span_trace_pinned(self, name, digests):
+        """Telemetry-on fleets are swept like telemetry-off ones: the
+        span trace, event order included, stays byte-identical."""
+        assert (
+            catalogue_golden.trace_digest(CLUSTER_SWEEP[name])
+            == digests["telemetry"][name]
+        )
 
     def test_covers_every_routing_policy(self):
         swept = {
