@@ -532,15 +532,9 @@ class ClusterEngine:
         self._telemetry: Optional[ClusterTelemetry] = (
             registry.cluster_telemetry() if registry is not None else None
         )
-        #: Cross-replica stretch batching (fast loop only). Gated off
-        #: under telemetry: interleaved stretch execution is request-
-        #: level identical but emits per-replica instruments in a
-        #: different global order than whole-window sweeps would.
-        self._fleet_exec: Optional[FleetStretchExecutor] = (
-            FleetStretchExecutor()
-            if config.fast_forward and self._telemetry is None
-            else None
-        )
+        #: Advances replicas to a horizon (the fast loop's joint
+        #: horizon and the final drain), telemetry on or off.
+        self._fleet_exec = FleetStretchExecutor()
         #: Persistent analytic router views (state-aware window
         #: routing), keyed by replica index; see :class:`_ReplicaReplay`
         #: for why their predictors survive across windows.
@@ -615,13 +609,9 @@ class ClusterEngine:
         else:
             self._run_event_loop()
         # Decode replicas never create events; they drain last.
-        if self._fleet_exec is not None:
-            self._fleet_exec.sweep(
-                [replica.engine for replica in self.replicas], math.inf
-            )
-        else:
-            for replica in self.replicas:
-                replica.engine.run_until(math.inf)
+        self._fleet_exec.sweep(
+            [replica.engine for replica in self.replicas], math.inf
+        )
         if self._elastic:
             self._finalize_drains()
         return self._build_report()
@@ -733,14 +723,7 @@ class ClusterEngine:
         fleet = self._fleet_exec
         while True:
             horizon = self._joint_horizon()
-            if fleet is not None:
-                fleet.sweep(
-                    [r.engine for r in self._route_targets], horizon
-                )
-            else:
-                for replica in self._route_targets:
-                    if replica.engine.has_work():
-                        replica.engine.run_until(horizon)
+            fleet.sweep([r.engine for r in self._route_targets], horizon)
             self._schedule_transfers()
             if self._elastic:
                 self._check_drain_completions()

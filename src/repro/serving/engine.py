@@ -413,8 +413,9 @@ class LLMEngine:
         ``None`` when the next step is not a provable steady stretch
         (idle gap, pending prefill, imminent event — the caller falls
         back to ``run_until``). Preparation is side-effect free, so an
-        unfinished prep may be abandoned. The cluster's fleet executor
-        uses this to stack concurrent stretches across replicas.
+        unfinished prep may be abandoned. The cluster's analytic router
+        replay builds its stretch oracles over these preps, and the
+        fleet sweep executes them.
         """
         if not self.config.fast_forward or not self.has_work():
             return None

@@ -39,7 +39,7 @@ spells out the contract):
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 try:  # pragma: no cover - numpy is part of the baked toolchain
     import numpy as _np
@@ -57,15 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: and the 62-bit headroom keep any real stretch far below it.
 UNBOUNDED_HORIZON = 1 << 62
 
-#: Minimum provable horizon at which the vectorized executor pays for
-#: its array setup; shorter stretches run the scalar loop.
+#: Minimum provable horizon at which a stretch's numpy series pays for
+#: its array setup; shorter stretches run the scalar recurrence.
 VECTOR_THRESHOLD = 8
-
-#: Minimum summed horizon (iterations across replicas) at which the
-#: fleet executor stacks concurrent stretches into one batched series
-#: evaluation; below it each stretch runs its own (vector or scalar)
-#: path — the stacking bookkeeping would cost more than it saves.
-FLEET_VOLUME_THRESHOLD = 64
 
 
 class DecodeFastPath:
@@ -80,7 +74,7 @@ class DecodeFastPath:
       if that is not ``None`` (the common constant case), otherwise
       :meth:`overhead_at` — which must reproduce the slow path's
       ``framework_overhead`` float bit-for-bit, including any mid-stretch
-      block-table growth;
+      block-table growth, and is walked once per prep, in order;
     * if :attr:`has_hooks`, :meth:`on_iteration` observes every executed
       iteration (replaying background-allocator state); returning
       ``False`` ends the stretch *after* that iteration — the next
@@ -99,7 +93,12 @@ class DecodeFastPath:
     has_hooks: bool = False
 
     def overhead_at(self, iteration: int) -> float:
-        """Framework overhead of stretch-iteration ``iteration`` (0-based)."""
+        """Framework overhead of stretch-iteration ``iteration`` (0-based).
+
+        May be stateful (Paged advances its block-count schedule as it
+        goes): the prep's series calls it exactly once per iteration,
+        in order from 0, and never again for that plan.
+        """
         raise NotImplementedError  # pragma: no cover - constant-overhead plans
 
     def on_iteration(self, iteration: int, window: float) -> bool:
@@ -165,11 +164,12 @@ class _StretchPrep:
     """A prepared — not yet executed — steady decode stretch.
 
     :meth:`DecodeFastForwarder.prepare` builds one from pure reads of
-    engine state (the memory plans are side-effect free until their
-    hooks or ``commit`` run), so a prep can be abandoned, and the fleet
-    executor can collect several before executing any. ``attention`` is
-    the one term a caller may supply pre-computed (the fleet-stacked
-    series evaluation); everything else is per-stretch constants.
+    engine state (a memory plan touches no engine state until its hooks
+    or ``commit`` run), so a prep can be abandoned, and the
+    cluster's router replay can build a :class:`StretchOracle` over it
+    before the stretch executes. Everything but ``stop_time`` is a
+    per-stretch constant; the iteration-time :meth:`series` is built
+    once and shared by every reader.
     """
 
     __slots__ = (
@@ -190,7 +190,67 @@ class _StretchPrep:
         "overhead",
         "has_hooks",
         "oracle",
+        "_series",
     )
+
+    def series(self):
+        """The stretch's ``(compute, starts)`` iteration-time series.
+
+        ``compute[i]`` is iteration ``i``'s latency term and
+        ``starts[i]`` its start time; ``starts[horizon]`` is the end of
+        the last iteration. Both come from the expression and
+        association of :meth:`LLMEngine._run_decode`, so every element is
+        the float the per-iteration loop reaches. numpy float64 arrays
+        when numpy is importable and the horizon reaches
+        :data:`VECTOR_THRESHOLD` (the array ops are elementwise and
+        ``cumsum`` accumulates sequentially, so both builds agree bit
+        for bit), lists from the scalar recurrence otherwise.
+
+        Built on first use and memoized: a plan whose overhead varies
+        walks its stateful :meth:`DecodeFastPath.overhead_at` here once,
+        in order, and the oracle and the executor read the same floats.
+        """
+        if self._series is not None:
+            return self._series
+        plan = self.plan
+        horizon = self.horizon
+        batch_size = self.batch_size
+        linear, cpu, per_seq = self.linear, self.cpu, self.per_seq
+        overhead = self.overhead
+        if _np is not None and horizon >= VECTOR_THRESHOLD:
+            totals = self.total_tokens + batch_size * _np.arange(
+                horizon, dtype=_np.int64
+            )
+            attention = self.kernel._decode_time_total_series(
+                self.shard, totals, batch_size, self.resolved_block
+            )
+            if overhead is None:
+                overhead = _np.array(
+                    [plan.overhead_at(i) for i in range(horizon)],
+                    dtype=_np.float64,
+                )
+            # Elementwise adds in the scalar path's left-to-right order:
+            # ((((linear + attention) + fw) + cpu) + per_seq.
+            compute = linear + attention + overhead + cpu + per_seq
+            starts = _np.cumsum(_np.concatenate(((self.start,), compute)))
+        else:
+            decode_fn = self.kernel._decode_time_total
+            total = self.total_tokens
+            now = self.start
+            compute = []
+            starts = [now]
+            for i in range(horizon):
+                attention = decode_fn(
+                    self.shard, total, batch_size, self.resolved_block
+                )
+                fw = overhead if overhead is not None else plan.overhead_at(i)
+                step = linear + attention + fw + cpu + per_seq
+                compute.append(step)
+                now = now + step
+                starts.append(now)
+                total += batch_size
+        self._series = (compute, starts)
+        return self._series
 
 
 class StretchOracle:
@@ -198,14 +258,13 @@ class StretchOracle:
 
     Answers — without touching the engine — how many stretch iterations
     ``engine.run_until(t)`` would execute, for any ``t`` strictly below
-    :attr:`valid_until`. Built from a pure :class:`_StretchPrep`, it
-    reproduces the executor's iteration-start series bit for bit (same
-    expressions, same association), so the count is exactly
-    ``run_until``'s: an iteration runs iff it *starts* strictly before
-    ``t``. The cluster's analytic router-state replay sits on top:
-    outstanding tokens during a steady stretch are the build-time
-    backlog minus ``batch_size`` per counted iteration, and the
-    replica's radix tree is provably frozen inside the validity span
+    :attr:`valid_until`. It reads the prep's own iteration-start
+    :meth:`~_StretchPrep.series` — the one the executor runs — so the
+    count is exactly ``run_until``'s: an iteration runs iff it *starts*
+    strictly before ``t``. The cluster's analytic router-state replay
+    sits on top: outstanding tokens during a steady stretch are the
+    build-time backlog minus ``batch_size`` per counted iteration, and
+    the replica's radix tree is provably frozen inside the validity span
     (pure decode completes no prefill and retires nothing), so cache
     probes against the live tree are snapshot probes.
 
@@ -235,64 +294,23 @@ class StretchOracle:
     def build(cls, prep: _StretchPrep) -> Optional["StretchOracle"]:
         """The oracle for ``prep``, or ``None`` if no iteration is
         provably predictable (hooks fire immediately)."""
-        cached = prep.oracle
-        if cached is not None:
-            # The starts series and its quiescence edge depend only on
-            # the prep's deadline-independent fields; a memoized prep
-            # (same engine state) re-binds them to the fresh stop_time.
-            if cached is False:
-                return None
-            starts, edge = cached
-            return cls(prep.batch_size, min(edge, prep.stop_time), starts)
-        plan = prep.plan
-        horizon = prep.horizon
-        quiet = (
-            plan.quiescent_until(0, horizon) if prep.has_hooks else horizon
-        )
-        cap = min(quiet, horizon - 1)
-        if cap < 1:
-            prep.oracle = False
+        # The quiescence edge depends only on the prep's
+        # deadline-independent fields; a memoized prep (same engine
+        # state) re-binds it to the fresh stop_time.
+        edge = prep.oracle
+        if edge is None:
+            horizon = prep.horizon
+            quiet = (
+                prep.plan.quiescent_until(0, horizon)
+                if prep.has_hooks
+                else horizon
+            )
+            cap = min(quiet, horizon - 1)
+            edge = float(prep.series()[1][cap]) if cap >= 1 else False
+            prep.oracle = edge
+        if edge is False:
             return None
-        if _np is not None:
-            totals = prep.total_tokens + prep.batch_size * _np.arange(
-                cap, dtype=_np.int64
-            )
-            attention = prep.kernel._decode_time_total_series(
-                prep.shard, totals, prep.batch_size, prep.resolved_block
-            )
-            if prep.overhead is not None:
-                fw = prep.overhead
-            else:
-                fw = _np.array(
-                    [plan.overhead_at(i) for i in range(cap)],
-                    dtype=_np.float64,
-                )
-            # The executor's expression and association, elementwise.
-            compute = prep.linear + attention + fw + prep.cpu + prep.per_seq
-            starts = _np.cumsum(_np.concatenate(((prep.start,), compute)))
-            edge = float(starts[cap])
-        else:
-            decode_fn = prep.kernel._decode_time_total
-            now = prep.start
-            total = prep.total_tokens
-            starts = [now]
-            for i in range(cap):
-                attention = decode_fn(
-                    prep.shard, total, prep.batch_size, prep.resolved_block
-                )
-                fw = (
-                    prep.overhead
-                    if prep.overhead is not None
-                    else plan.overhead_at(i)
-                )
-                now = now + (
-                    prep.linear + attention + fw + prep.cpu + prep.per_seq
-                )
-                starts.append(now)
-                total += prep.batch_size
-            edge = starts[cap]
-        prep.oracle = (starts, edge)
-        return cls(prep.batch_size, min(edge, prep.stop_time), starts)
+        return cls(prep.batch_size, min(edge, prep.stop_time), prep.series()[1])
 
     def iterations_before(self, time: float) -> int:
         """Iterations ``run_until(time)`` would execute (requires
@@ -450,6 +468,7 @@ class DecodeFastForwarder:
             total_tokens += request.context_len
         prep.total_tokens = total_tokens
         prep.oracle = None
+        prep._series = None
         if budget is None:
             self._memo = prep
             self._memo_version = engine._prep_version
@@ -461,134 +480,67 @@ class DecodeFastForwarder:
             self._memo_none = state
         return None
 
-    def finish(self, prep: _StretchPrep, attention=None) -> int:
-        """Execute a prepared stretch and land its state.
-
-        ``attention`` — when supplied by the fleet executor — is this
-        stretch's attention-series slice of a stacked evaluation, whose
-        elements are bit-identical to the per-stretch call below.
-        """
+    def finish(self, prep: _StretchPrep) -> int:
+        """Execute a prepared stretch and land its state."""
         engine = self.engine
         plan = prep.plan
         batch = prep.batch
         horizon = prep.horizon
-        stop_time = prep.stop_time
         batch_size = prep.batch_size
-        shard = prep.shard
-        linear = prep.linear
-        kernel = prep.kernel
-        resolved_block = prep.resolved_block
-        decode_fn = kernel._decode_time_total
-        cpu = prep.cpu
-        per_seq = prep.per_seq
-        overhead = prep.overhead
-        has_hooks = prep.has_hooks
-        clock = engine.clock
-        start = prep.start
-        total_tokens = prep.total_tokens
-
-        if _np is not None and (
-            attention is not None or horizon >= VECTOR_THRESHOLD
-        ):
-            # Vectorized executor: the whole stretch's float series in a
-            # handful of array ops, bit-identical to the scalar loop
-            # below (see the inline notes on association).
-            if attention is None:
-                totals = total_tokens + batch_size * _np.arange(
-                    horizon, dtype=_np.int64
-                )
-                attention = kernel._decode_time_total_series(
-                    shard, totals, batch_size, resolved_block
-                )
-            if overhead is not None:
-                fw = overhead
-            else:
-                fw = _np.array(
-                    [plan.overhead_at(i) for i in range(horizon)],
-                    dtype=_np.float64,
-                )
-            # Elementwise adds in the scalar path's left-to-right order:
-            # ((((linear + attention) + fw) + cpu) + per_seq.
-            compute = linear + attention + fw + cpu + per_seq
-            # np.cumsum accumulates sequentially, so acc[i] is the exact
-            # float the serial `now += compute` recurrence reaches —
-            # acc[i] is iteration i's start time, acc[i+1] its end.
-            acc = _np.cumsum(_np.concatenate(((start,), compute)))
-            # Iteration i runs iff it *starts* strictly before stop_time.
-            n = int(_np.searchsorted(acc[:horizon], stop_time, side="left"))
-            if has_hooks:
-                # Hooked plans observe every iteration — but a plan can
-                # prove spans of iterations whose hooks would do nothing
-                # and return True, and a provable no-op changes no state
-                # the next hook decision reads, so skipping the calls is
-                # exact. At fleet scale this turns the per-iteration
-                # Python loop into a handful of span jumps. Likewise a
-                # hook that repeats a recorded steady cycle is replayed
-                # for its whole span in one call.
-                executed = 0
-                i = 0
-                while i < n:
-                    j = plan.quiescent_until(i, n)
-                    if j == i:
-                        j = plan.replay_cycle(i, n, compute)
-                    if j > i:
-                        executed = j
-                        i = j
-                        continue
-                    executed = i + 1
-                    if not plan.on_iteration(i, float(compute[i])):
-                        break
-                    i += 1
-            else:
-                executed = n
-            if executed == 0:
-                return 0
-            # diff(acc) is (now + compute) - now, the slow path's latency.
-            latency_series = _np.diff(acc[: executed + 1])
+        compute, starts = prep.series()
+        vector = not isinstance(starts, list)
+        # Iteration i runs iff it *starts* strictly before stop_time.
+        if vector:
+            n = int(
+                _np.searchsorted(starts[:horizon], prep.stop_time, side="left")
+            )
+        else:
+            n = bisect.bisect_left(starts, prep.stop_time, 0, horizon)
+        if prep.has_hooks:
+            # Hooked plans observe every iteration — but a plan can
+            # prove spans of iterations whose hooks would do nothing
+            # and return True, and a provable no-op changes no state
+            # the next hook decision reads, so skipping the calls is
+            # exact. At fleet scale this turns the per-iteration
+            # Python loop into a handful of span jumps. Likewise a
+            # hook that repeats a recorded steady cycle is replayed
+            # for its whole span in one call (over the float64 window
+            # array, so only on the vector series).
+            executed = 0
+            i = 0
+            while i < n:
+                j = plan.quiescent_until(i, n)
+                if j == i and vector:
+                    j = plan.replay_cycle(i, n, compute)
+                if j > i:
+                    executed = i = j
+                    continue
+                executed = i + 1
+                if not plan.on_iteration(i, float(compute[i])):
+                    break
+                i += 1
+        else:
+            executed = n
+        if executed == 0:
+            return 0
+        # The slow path records latency as (now + compute) - now, and
+        # sums those latencies serially, left to right. Downstream sums
+        # must add these (not stretch subtotals) to reproduce the
+        # per-iteration loop's float association bit for bit.
+        if vector:
+            latency_series = _np.diff(starts[: executed + 1])
             latencies = latency_series.tolist()
             # Serial left-to-right sum, via cumsum's sequential pass.
             latency_sum = float(_np.cumsum(latency_series)[-1])
-            now = float(acc[executed])
-            last_step_now = float(acc[executed - 1])
         else:
-            now = start
-            last_step_now = start
+            latencies = [starts[i + 1] - starts[i] for i in range(executed)]
             latency_sum = 0.0
-            #: Exact per-iteration latencies: downstream sums must add
-            #: these (not stretch subtotals) to reproduce the
-            #: per-iteration loop's float association bit for bit.
-            latencies = []
-            record_latency = latencies.append
-            executed = 0
-            while executed < horizon:
-                if now >= stop_time:
-                    break
-                attention = decode_fn(
-                    shard, total_tokens, batch_size, resolved_block
-                )
-                fw = (
-                    overhead
-                    if overhead is not None
-                    else plan.overhead_at(executed)
-                )
-                # Same left-to-right association as _run_decode's sum.
-                compute = linear + attention + fw + cpu + per_seq
-                last_step_now = now
-                new_now = now + compute
-                # The slow path records latency as (now + compute) - now.
-                latency = new_now - now
-                record_latency(latency)
+            for latency in latencies:
                 latency_sum += latency
-                now = new_now
-                executed += 1
-                total_tokens += batch_size
-                if has_hooks and not plan.on_iteration(executed - 1, compute):
-                    break
+        now = float(starts[executed])
+        last_step_now = float(starts[executed - 1])
 
-            if executed == 0:
-                return 0
-
-        clock.jump_to(now)
+        engine.clock.jump_to(now)
         for request in batch:
             request.generated += executed
         # The completion bound kept every member's remaining budget at
@@ -596,7 +548,7 @@ class DecodeFastForwarder:
         engine._outstanding -= executed * batch_size
         plan.commit(executed, last_step_now)
         record = IterationRecord(
-            start_time=start,
+            start_time=prep.start,
             phase="decode",
             batch_size=batch_size,
             latency=latency_sum,
@@ -622,97 +574,29 @@ class DecodeFastForwarder:
 
 
 class FleetStretchExecutor:
-    """Cross-replica stretch execution: one batched series per fleet pass.
+    """Advances a fleet's engines to a shared horizon.
 
-    The cluster fast loop sweeps every event-source replica to the joint
-    horizon. Replica engines are independent between cluster events, so
-    *when several of them are simultaneously in provably-steady decode
-    stretches*, their attention-series evaluations — elementwise float
-    functions of each stretch's totals sequence — can be stacked into
-    one numpy call and split back, each element bit-identical to the
-    per-replica evaluation (same expression, same scalar operands, one
-    IEEE-754 op per element either way). Everything order-sensitive
-    (per-replica cumsum, hooks, commits) still runs per replica in the
-    identical association the scalar path uses.
-
-    Stretches are grouped by the tuple that parameterizes the series
-    expression — kernel implementation, GPU, shard, batch size, block
-    size — because e.g. FlashInfer's paged decode factor is a
-    batch-size-dependent scalar: mixing batch sizes would change the
-    expression, not just the operands. Below ``volume_threshold``
-    summed iterations (or with a single stretch) the per-replica path
-    runs unchanged: stacking would cost more than it saves.
+    The cluster loop sweeps its event-source replicas to the joint
+    horizon, and drains the whole fleet at the end, through this one
+    path — telemetry on or off. Replica engines are independent between
+    cluster events, so each engine is advanced on its own, in fleet
+    order: it executes its staged steady stretches
+    (:meth:`~repro.serving.engine.LLMEngine.begin_steady_stretch`, then
+    :meth:`DecodeFastForwarder.finish`) and crosses the rest of the
+    window with ``run_until``. That is the call sequence ``run_until``
+    itself makes, so every engine's states, and the global telemetry
+    emission order, are those of ``for e in engines: e.run_until(h)``.
     """
 
-    def __init__(self, volume_threshold: int = FLEET_VOLUME_THRESHOLD) -> None:
-        self.volume_threshold = volume_threshold
-
     def sweep(self, engines: Sequence["LLMEngine"], horizon: float) -> None:
-        """Advance every engine to ``horizon`` (``run_until`` semantics).
-
-        Equivalent to ``for e in engines: e.run_until(horizon)`` — the
-        engines are independent over the window, so interleaving their
-        stretches cannot change any engine's own sequence of states.
-        """
-        active = [engine for engine in engines if engine.has_work()]
-        while active:
-            preps: List[_StretchPrep] = []
-            for engine in active:
+        """Advance every engine to ``horizon`` (``run_until`` semantics)."""
+        for engine in engines:
+            while engine.has_work():
                 prep = engine.begin_steady_stretch(horizon)
                 if prep is None:
                     # Not at a provable steady stretch (prefill pending,
                     # idle gap, arrival imminent, ...): cross the rest
                     # of the window through the ordinary serve loop.
                     engine.run_until(horizon)
-                else:
-                    preps.append(prep)
-            if not preps:
-                break
-            self._finish_batch(preps)
-            active = [
-                prep.engine for prep in preps if prep.engine.has_work()
-            ]
-
-    def _finish_batch(self, preps: List[_StretchPrep]) -> None:
-        if (
-            _np is None
-            or len(preps) < 2
-            or sum(prep.horizon for prep in preps) < self.volume_threshold
-        ):
-            for prep in preps:
-                prep.engine._fast.finish(prep)
-            return
-        groups: Dict[tuple, List[_StretchPrep]] = {}
-        for prep in preps:
-            key = (
-                type(prep.kernel),
-                prep.kernel.gpu,
-                prep.shard,
-                prep.batch_size,
-                prep.resolved_block,
-            )
-            groups.setdefault(key, []).append(prep)
-        for group in groups.values():
-            if len(group) == 1:
-                prep = group[0]
-                prep.engine._fast.finish(prep)
-                continue
-            # Per-stretch totals sequences, stacked. Each element of the
-            # stacked evaluation is the identical IEEE op sequence the
-            # per-stretch call performs on that element, so the split
-            # slices are bit-identical to per-replica evaluations.
-            totals = _np.concatenate(
-                [
-                    prep.total_tokens
-                    + prep.batch_size
-                    * _np.arange(prep.horizon, dtype=_np.int64)
-                    for prep in group
-                ]
-            )
-            lead = group[0]
-            attention = lead.kernel._decode_time_total_series(
-                lead.shard, totals, lead.batch_size, lead.resolved_block
-            )
-            bounds = _np.cumsum([prep.horizon for prep in group])[:-1]
-            for prep, series in zip(group, _np.split(attention, bounds)):
-                prep.engine._fast.finish(prep, attention=series)
+                    break
+                engine._fast.finish(prep)

@@ -35,6 +35,7 @@ import catalogue_golden
 import fcfs_golden
 import repro.serving.engine as engine_module
 import repro.serving.memory as memory_module
+import repro.sim.fastforward as fastforward_module
 from repro.cluster.autoscaler import AUTOSCALER_POLICIES
 from repro.cluster.engine import ClusterConfig, ClusterEngine
 from repro.cluster.router import policy_names
@@ -228,7 +229,10 @@ class TestPressureOracle:
         )
         fast_times, fast_state = _pressure_run(fast_forward=True)
         # The replay must engage, or the equality below proves nothing.
-        assert sum(replayed) > 1_000
+        # It replays over a stretch's float64 window array, so without
+        # numpy only the on/off equality is checked.
+        if fastforward_module._np is not None:
+            assert sum(replayed) > 1_000
         legacy_times, legacy_state = _pressure_run(fast_forward=False)
         assert any(preemptions for *_, preemptions in fast_times)
         assert fast_times == legacy_times
@@ -239,8 +243,10 @@ class TestPressureOracle:
 # The cluster-catalogue sweep (joint-horizon fleet loop on vs off)
 # ----------------------------------------------------------------------
 # Every cluster-driven experiment configuration, at test scale: the
-# three routing policies, the disaggregated prefill/decode split, and
-# one fleet per autoscaler policy. ``ClusterConfig.fast_forward``
+# three routing policies, the disaggregated prefill/decode split, one
+# fleet per autoscaler policy, and Paged-backend fleets under the two
+# state-aware routers (their stretches have varying framework overhead
+# under the analytic router replay). ``ClusterConfig.fast_forward``
 # follows the same module default the engines read, so one flip drives
 # both the fleet loop and every replica's decode fast-forwarding.
 CLUSTER_COUNT = 24
@@ -399,6 +405,26 @@ class TestClusterSweep:
         monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", False)
         legacy = _cluster_fingerprint(CLUSTER_SWEEP[name]())
         assert fast == legacy
+
+    def test_stateful_overhead_walked_once_in_order(self, monkeypatch):
+        """A Paged plan's ``overhead_at`` advances its block-count
+        schedule, so the router replay's oracle and the executor must
+        share one walk of it per prep: 0, 1, 2, ... and never again."""
+        walks = {}
+        overhead_at = memory_module._PagedDecodePlan.overhead_at
+
+        def spy(plan, iteration):
+            walks.setdefault(plan, []).append(iteration)
+            return overhead_at(plan, iteration)
+
+        monkeypatch.setattr(
+            memory_module._PagedDecodePlan, "overhead_at", spy
+        )
+        monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", True)
+        CLUSTER_SWEEP["paged:cache_aware"]()
+        assert walks
+        for iterations in walks.values():
+            assert iterations == list(range(len(iterations)))
 
     @pytest.mark.parametrize("name", catalogue_golden.TRACE_PINS)
     def test_span_trace_pinned(self, name, digests):
