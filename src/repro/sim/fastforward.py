@@ -189,7 +189,7 @@ class _StretchPrep:
         "per_seq",
         "overhead",
         "has_hooks",
-        "oracle",
+        "oracle_edge",
         "_series",
     )
 
@@ -297,7 +297,7 @@ class StretchOracle:
         # The quiescence edge depends only on the prep's
         # deadline-independent fields; a memoized prep (same engine
         # state) re-binds it to the fresh stop_time.
-        edge = prep.oracle
+        edge = prep.oracle_edge
         if edge is None:
             horizon = prep.horizon
             quiet = (
@@ -307,7 +307,7 @@ class StretchOracle:
             )
             cap = min(quiet, horizon - 1)
             edge = float(prep.series()[1][cap]) if cap >= 1 else False
-            prep.oracle = edge
+            prep.oracle_edge = edge
         if edge is False:
             return None
         return cls(prep.batch_size, min(edge, prep.stop_time), prep.series()[1])
@@ -467,7 +467,7 @@ class DecodeFastForwarder:
         for request in batch:
             total_tokens += request.context_len
         prep.total_tokens = total_tokens
-        prep.oracle = None
+        prep.oracle_edge = None
         prep._series = None
         if budget is None:
             self._memo = prep
