@@ -414,8 +414,9 @@ class LLMEngine:
         (idle gap, pending prefill, imminent event — the caller falls
         back to ``run_until``). Preparation is side-effect free, so an
         unfinished prep may be abandoned. The cluster's analytic router
-        replay builds its stretch oracles over these preps, and the
-        fleet sweep executes them.
+        replay builds its stretch oracles over these preps; the
+        fast-forwarder memoizes the prep, so the engine's next
+        ``run_until`` executes that same stretch.
         """
         if not self.config.fast_forward or not self.has_work():
             return None

@@ -39,6 +39,7 @@ spells out the contract):
 from __future__ import annotations
 
 import bisect
+import math
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 try:  # pragma: no cover - numpy is part of the baked toolchain
@@ -122,7 +123,8 @@ class DecodeFastPath:
         """Largest ``j <= n`` with hooks for ``[iteration, j)`` provably
         repeating the last hook's work, which this call applies.
 
-        ``windows`` is the stretch's float64 compute-window series. A
+        ``windows`` is the stretch's compute-window series (a list or a
+        float64 array; see :meth:`_StretchPrep.series`). A
         plan that recorded a *steady cycle* — a hook that returned
         ``True`` and left every state its next decision reads as it
         found it — may land that hook's effects for the whole span in
@@ -189,57 +191,50 @@ class _StretchPrep:
         "per_seq",
         "overhead",
         "has_hooks",
-        "oracle_edge",
+        "oracle_cap",
         "_series",
     )
 
-    def series(self):
+    def series(self, stop_time: float = math.inf):
         """The stretch's ``(compute, starts)`` iteration-time series.
 
         ``compute[i]`` is iteration ``i``'s latency term and
-        ``starts[i]`` its start time; ``starts[horizon]`` is the end of
-        the last iteration. Both come from the expression and
-        association of :meth:`LLMEngine._run_decode`, so every element is
-        the float the per-iteration loop reaches. numpy float64 arrays
-        when numpy is importable and the horizon reaches
-        :data:`VECTOR_THRESHOLD` (the array ops are elementwise and
+        ``starts[i]`` its start time; ``starts[i + 1]`` is its end.
+        Both come from the expression and association of
+        :meth:`LLMEngine._run_decode`, so every element is the float
+        the per-iteration loop reaches. With numpy importable and a
+        horizon of at least :data:`VECTOR_THRESHOLD` they are float64
+        arrays over the whole horizon (the array ops are elementwise and
         ``cumsum`` accumulates sequentially, so both builds agree bit
-        for bit), lists from the scalar recurrence otherwise.
+        for bit). Otherwise they are lists from the scalar recurrence,
+        built only until an iteration starts at or after ``stop_time``
+        (it would not run) or the horizon ends; a later call with a
+        later ``stop_time`` extends them in place.
 
-        Built on first use and memoized: a plan whose overhead varies
-        walks its stateful :meth:`DecodeFastPath.overhead_at` here once,
-        in order, and the oracle and the executor read the same floats.
+        Memoized: a plan whose overhead varies walks its stateful
+        :meth:`DecodeFastPath.overhead_at` here once per iteration, in
+        order, and the oracle and the executor read the same floats.
         """
-        if self._series is not None:
-            return self._series
-        plan = self.plan
-        horizon = self.horizon
-        batch_size = self.batch_size
-        linear, cpu, per_seq = self.linear, self.cpu, self.per_seq
-        overhead = self.overhead
-        if _np is not None and horizon >= VECTOR_THRESHOLD:
-            totals = self.total_tokens + batch_size * _np.arange(
-                horizon, dtype=_np.int64
-            )
-            attention = self.kernel._decode_time_total_series(
-                self.shard, totals, batch_size, self.resolved_block
-            )
-            if overhead is None:
-                overhead = _np.array(
-                    [plan.overhead_at(i) for i in range(horizon)],
-                    dtype=_np.float64,
-                )
-            # Elementwise adds in the scalar path's left-to-right order:
-            # ((((linear + attention) + fw) + cpu) + per_seq.
-            compute = linear + attention + overhead + cpu + per_seq
-            starts = _np.cumsum(_np.concatenate(((self.start,), compute)))
-        else:
+        series = self._series
+        if series is None:
+            if _np is not None and self.horizon >= VECTOR_THRESHOLD:
+                series = self._array_series()
+            else:
+                series = ([], [self.start])
+            self._series = series
+        compute, starts = series
+        if isinstance(compute, list):
+            # Extend the scalar recurrence from where it stopped.
+            plan = self.plan
+            horizon = self.horizon
+            batch_size = self.batch_size
+            linear, cpu, per_seq = self.linear, self.cpu, self.per_seq
+            overhead = self.overhead
             decode_fn = self.kernel._decode_time_total
-            total = self.total_tokens
-            now = self.start
-            compute = []
-            starts = [now]
-            for i in range(horizon):
+            i = len(compute)
+            now = starts[i]
+            total = self.total_tokens + batch_size * i
+            while i < horizon and now < stop_time:
                 attention = decode_fn(
                     self.shard, total, batch_size, self.resolved_block
                 )
@@ -249,8 +244,30 @@ class _StretchPrep:
                 now = now + step
                 starts.append(now)
                 total += batch_size
-        self._series = (compute, starts)
-        return self._series
+                i += 1
+        return series
+
+    def _array_series(self):
+        """The whole-horizon float64 ``(compute, starts)`` arrays."""
+        horizon = self.horizon
+        batch_size = self.batch_size
+        totals = self.total_tokens + batch_size * _np.arange(
+            horizon, dtype=_np.int64
+        )
+        attention = self.kernel._decode_time_total_series(
+            self.shard, totals, batch_size, self.resolved_block
+        )
+        overhead = self.overhead
+        if overhead is None:
+            overhead = _np.array(
+                [self.plan.overhead_at(i) for i in range(horizon)],
+                dtype=_np.float64,
+            )
+        # Elementwise adds in the scalar path's left-to-right order:
+        # ((((linear + attention) + fw) + cpu) + per_seq.
+        compute = self.linear + attention + overhead + self.cpu + self.per_seq
+        starts = _np.cumsum(_np.concatenate(((self.start,), compute)))
+        return compute, starts
 
 
 class StretchOracle:
@@ -294,23 +311,27 @@ class StretchOracle:
     def build(cls, prep: _StretchPrep) -> Optional["StretchOracle"]:
         """The oracle for ``prep``, or ``None`` if no iteration is
         provably predictable (hooks fire immediately)."""
-        # The quiescence edge depends only on the prep's
+        # The quiescence cap depends only on the prep's
         # deadline-independent fields; a memoized prep (same engine
         # state) re-binds it to the fresh stop_time.
-        edge = prep.oracle_edge
-        if edge is None:
+        cap = prep.oracle_cap
+        if cap is None:
             horizon = prep.horizon
             quiet = (
                 prep.plan.quiescent_until(0, horizon)
                 if prep.has_hooks
                 else horizon
             )
-            cap = min(quiet, horizon - 1)
-            edge = float(prep.series()[1][cap]) if cap >= 1 else False
-            prep.oracle_edge = edge
-        if edge is False:
+            cap = prep.oracle_cap = min(quiet, horizon - 1)
+        if cap < 1:
             return None
-        return cls(prep.batch_size, min(edge, prep.stop_time), prep.series()[1])
+        stop_time = prep.stop_time
+        starts = prep.series(stop_time)[1]
+        # A scalar series shorter than ``cap`` already starts an
+        # iteration at or past stop_time, and starts never decrease.
+        if cap < len(starts) and starts[cap] < stop_time:
+            return cls(prep.batch_size, float(starts[cap]), starts)
+        return cls(prep.batch_size, stop_time, starts)
 
     def iterations_before(self, time: float) -> int:
         """Iterations ``run_until(time)`` would execute (requires
@@ -467,7 +488,7 @@ class DecodeFastForwarder:
         for request in batch:
             total_tokens += request.context_len
         prep.total_tokens = total_tokens
-        prep.oracle_edge = None
+        prep.oracle_cap = None
         prep._series = None
         if budget is None:
             self._memo = prep
@@ -487,15 +508,14 @@ class DecodeFastForwarder:
         batch = prep.batch
         horizon = prep.horizon
         batch_size = prep.batch_size
-        compute, starts = prep.series()
+        stop_time = prep.stop_time
+        compute, starts = prep.series(stop_time)
         vector = not isinstance(starts, list)
         # Iteration i runs iff it *starts* strictly before stop_time.
         if vector:
-            n = int(
-                _np.searchsorted(starts[:horizon], prep.stop_time, side="left")
-            )
+            n = int(_np.searchsorted(starts[:horizon], stop_time, side="left"))
         else:
-            n = bisect.bisect_left(starts, prep.stop_time, 0, horizon)
+            n = bisect.bisect_left(starts, stop_time, 0, len(compute))
         if prep.has_hooks:
             # Hooked plans observe every iteration — but a plan can
             # prove spans of iterations whose hooks would do nothing
@@ -504,13 +524,12 @@ class DecodeFastForwarder:
             # exact. At fleet scale this turns the per-iteration
             # Python loop into a handful of span jumps. Likewise a
             # hook that repeats a recorded steady cycle is replayed
-            # for its whole span in one call (over the float64 window
-            # array, so only on the vector series).
+            # for its whole span in one call.
             executed = 0
             i = 0
             while i < n:
                 j = plan.quiescent_until(i, n)
-                if j == i and vector:
+                if j == i:
                     j = plan.replay_cycle(i, n, compute)
                 if j > i:
                     executed = i = j
@@ -579,24 +598,12 @@ class FleetStretchExecutor:
     The cluster loop sweeps its event-source replicas to the joint
     horizon, and drains the whole fleet at the end, through this one
     path — telemetry on or off. Replica engines are independent between
-    cluster events, so each engine is advanced on its own, in fleet
-    order: it executes its staged steady stretches
-    (:meth:`~repro.serving.engine.LLMEngine.begin_steady_stretch`, then
-    :meth:`DecodeFastForwarder.finish`) and crosses the rest of the
-    window with ``run_until``. That is the call sequence ``run_until``
-    itself makes, so every engine's states, and the global telemetry
-    emission order, are those of ``for e in engines: e.run_until(h)``.
+    cluster events, so each engine runs ``run_until`` on its own, in
+    fleet order. A stretch the router replay staged for an engine is
+    the memoized prep that engine's ``run_until`` executes.
     """
 
     def sweep(self, engines: Sequence["LLMEngine"], horizon: float) -> None:
         """Advance every engine to ``horizon`` (``run_until`` semantics)."""
         for engine in engines:
-            while engine.has_work():
-                prep = engine.begin_steady_stretch(horizon)
-                if prep is None:
-                    # Not at a provable steady stretch (prefill pending,
-                    # idle gap, arrival imminent, ...): cross the rest
-                    # of the window through the ordinary serve loop.
-                    engine.run_until(horizon)
-                    break
-                engine._fast.finish(prep)
+            engine.run_until(horizon)

@@ -35,7 +35,6 @@ import catalogue_golden
 import fcfs_golden
 import repro.serving.engine as engine_module
 import repro.serving.memory as memory_module
-import repro.sim.fastforward as fastforward_module
 from repro.cluster.autoscaler import AUTOSCALER_POLICIES
 from repro.cluster.engine import ClusterConfig, ClusterEngine
 from repro.cluster.router import policy_names
@@ -229,10 +228,7 @@ class TestPressureOracle:
         )
         fast_times, fast_state = _pressure_run(fast_forward=True)
         # The replay must engage, or the equality below proves nothing.
-        # It replays over a stretch's float64 window array, so without
-        # numpy only the on/off equality is checked.
-        if fastforward_module._np is not None:
-            assert sum(replayed) > 1_000
+        assert sum(replayed) > 1_000
         legacy_times, legacy_state = _pressure_run(fast_forward=False)
         assert any(preemptions for *_, preemptions in fast_times)
         assert fast_times == legacy_times
