@@ -12,6 +12,7 @@ from repro.scheduling import make_scheduler_policy
 from repro.scheduling.base import SchedulerPolicy, SchedulingView
 from repro.serving.engine import EngineConfig, LLMEngine
 from repro.serving.request import Request, RequestState
+from repro.sim import fastforward
 from repro.sim.events import EventKind, EventQueue
 from repro.workloads.traces import fixed_trace
 
@@ -207,3 +208,38 @@ class TestFastForwardedRecords:
         assert stretches, "steady spans should aggregate"
         assert singles, "fault iterations must stay individual"
         assert all(r.alloc_sync == 0.0 for r in stretches)
+
+
+# ----------------------------------------------------------------------
+class TestStretchSeries:
+    @staticmethod
+    def staged():
+        """A Paged engine's first steady stretch, staged but not run."""
+        engine = make_engine(
+            memory_backend="paged",
+            prefill_kernel="fa2_paged",
+            decode_kernel="fa2_paged",
+            block_size=64,
+        )
+        engine.submit(fixed_trace(count=2, prompt_len=1_000, max_new_tokens=200))
+        while True:
+            prep = engine.begin_steady_stretch(math.inf)
+            if prep is not None:
+                return prep
+            engine.run(max_iterations=1)
+
+    def test_scalar_series_extends_to_the_full_build(self, monkeypatch):
+        """Without numpy a series stops at the first iteration starting at
+        or after its stop time; a later read extends it to exactly the
+        floats of one full build, walking the Paged plan's stateful
+        overheads on from where it stopped."""
+        monkeypatch.setattr(fastforward, "_np", None)
+        prep = self.staged()
+        assert prep.overhead is None  # block growth inside the stretch
+        stop_time = prep.start + 0.05
+        compute, starts = prep.series(stop_time)
+        assert 0 < len(compute) < prep.horizon
+        assert starts[-2] < stop_time <= starts[-1]
+        full = self.staged().series()
+        assert len(full[0]) == prep.horizon
+        assert prep.series() == full
