@@ -282,7 +282,7 @@ class _ReplicaReplay(ReplicaView):
     :meth:`at` before each ``select``. While a replica's closed-form
     predictor (:class:`~repro.sim.fastforward.StretchOracle`, or a
     constant for idle/parked/overshot replicas) is valid, observations
-    cost a ``searchsorted`` (backlog) or a frozen-tree probe (cache) —
+    cost a bisection (backlog) or a frozen-tree probe (cache) —
     no sweep. When the predictor expires, or the replica just received
     a submission it cannot see (:meth:`invalidate`), the replica is
     swept to the query instant with a real ``run_until`` — exact by the

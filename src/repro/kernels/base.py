@@ -141,29 +141,6 @@ class AttentionKernel(abc.ABC):
         resolved = self.validate_block_size(block_size)
         return self._decode_time_total(shard, total_tokens, batch_size, resolved)
 
-    def decode_time_total_series(
-        self,
-        shard: ShardedModel,
-        totals,
-        batch_size: int,
-        block_size: Optional[int] = None,
-    ):
-        """Vectorized :meth:`decode_time_total` over an array of totals.
-
-        ``totals`` is a numpy integer array of total-token counts; the
-        result is a float64 array whose element ``i`` is bit-identical to
-        ``decode_time_total(shard, totals[i], batch_size, block_size)``.
-        Subclasses override :meth:`_decode_time_total_series` with
-        elementwise arithmetic mirroring their scalar op order; the base
-        fallback loops the scalar implementation.
-        """
-        if not self.info.supports_decode:
-            raise KernelError(f"{self.info.name} has no decode kernel")
-        if batch_size <= 0:
-            raise KernelError(f"decode batch must be positive, got {batch_size}")
-        resolved = self.validate_block_size(block_size)
-        return self._decode_time_total_series(shard, totals, batch_size, resolved)
-
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def _prefill_time(
@@ -202,16 +179,12 @@ class AttentionKernel(abc.ABC):
     def _decode_time_total_series(
         self, shard: ShardedModel, totals, batch_size: int, block_size: int
     ):
-        """Vectorized decode latency; scalar-loop fallback is exact."""
-        import numpy
-
-        return numpy.array(
-            [
-                self._decode_time_total(shard, int(total), batch_size, block_size)
-                for total in totals
-            ],
-            dtype="float64",
-        )
+        """:meth:`_decode_time_total` over each of ``totals``, as a list."""
+        # Unused by the simulator; kept because perfbench's tracer hooks it by name.
+        return [
+            self._decode_time_total(shard, total, batch_size, block_size)
+            for total in totals
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.info.name} on {self.gpu.name})"

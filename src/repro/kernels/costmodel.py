@@ -170,27 +170,9 @@ def attention_decode_time_total(
     """
     if total_tokens < 0:
         raise KernelError(f"negative total tokens: {total_tokens}")
-    roofline = Roofline(gpu)
+    # Roofline.memory_time inlined (same operations, same order): the
+    # fast path calls this once per stretch iteration.
     nbytes = float(total_tokens) * shard.kv_bytes_per_token
-    return roofline.memory_time(nbytes, bandwidth_efficiency)
-
-
-def attention_decode_time_total_series(
-    shard: ShardedModel,
-    gpu: GpuSpec,
-    totals,
-    bandwidth_efficiency: float,
-):
-    """Vectorized :func:`attention_decode_time_total` over a totals array.
-
-    ``totals`` is a numpy integer array; the result is a float64 array
-    whose element ``i`` is **bit-identical** to
-    ``attention_decode_time_total(shard, gpu, totals[i], eff)``: the
-    elementwise multiply and divide below are single IEEE-754 operations
-    per element, in the same order as the scalar path
-    (``float(total) * kv_bytes_per_token`` then ``/ (bandwidth * eff)``).
-    """
-    nbytes = totals.astype("float64") * shard.kv_bytes_per_token
     return nbytes / (gpu.hbm_bandwidth * bandwidth_efficiency)
 
 

@@ -28,7 +28,6 @@ from .costmodel import (
     EFF_ATTN_PREFILL,
     EFF_DECODE_KV,
     attention_decode_time_total,
-    attention_decode_time_total_series,
     attention_prefill_time,
     interp_factor,
 )
@@ -102,13 +101,6 @@ class FlashAttention2(AttentionKernel):
             shard, self.gpu, total_tokens, EFF_DECODE_KV
         )
 
-    def _decode_time_total_series(
-        self, shard: ShardedModel, totals, batch_size: int, block_size: int
-    ):
-        return attention_decode_time_total_series(
-            shard, self.gpu, totals, EFF_DECODE_KV
-        )
-
 
 class FlashAttention2Paged(AttentionKernel):
     """FlashAttention-2 with PagedAttention support (the ``_Paged`` config)."""
@@ -142,16 +134,6 @@ class FlashAttention2Paged(AttentionKernel):
     ) -> float:
         base = attention_decode_time_total(
             shard, self.gpu, total_tokens, EFF_DECODE_KV
-        )
-        overhead = FA2_PAGED_DECODE_OVERHEAD
-        overhead *= FA2_PAGED_SMALL_BLOCK_PENALTY[block_size]
-        return base * overhead
-
-    def _decode_time_total_series(
-        self, shard: ShardedModel, totals, batch_size: int, block_size: int
-    ):
-        base = attention_decode_time_total_series(
-            shard, self.gpu, totals, EFF_DECODE_KV
         )
         overhead = FA2_PAGED_DECODE_OVERHEAD
         overhead *= FA2_PAGED_SMALL_BLOCK_PENALTY[block_size]

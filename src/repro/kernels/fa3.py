@@ -21,7 +21,6 @@ from .base import AttentionKernel, KernelInfo, KvLayout
 from .costmodel import (
     EFF_DECODE_KV,
     attention_decode_time_total,
-    attention_decode_time_total_series,
     attention_prefill_time,
 )
 
@@ -66,11 +65,4 @@ class FlashAttention3(AttentionKernel):
         # already captured by the GpuSpec.
         return attention_decode_time_total(
             shard, self.gpu, total_tokens, EFF_DECODE_KV
-        )
-
-    def _decode_time_total_series(
-        self, shard: ShardedModel, totals, batch_size: int, block_size: int
-    ):
-        return attention_decode_time_total_series(
-            shard, self.gpu, totals, EFF_DECODE_KV
         )

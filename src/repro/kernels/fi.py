@@ -28,7 +28,6 @@ from .base import AttentionKernel, KernelInfo, KvLayout
 from .costmodel import (
     EFF_DECODE_KV,
     attention_decode_time_total,
-    attention_decode_time_total_series,
     attention_prefill_time,
     interp_factor,
 )
@@ -108,14 +107,6 @@ class FlashInfer(AttentionKernel):
         )
         return base * FI_NONPAGED_DECODE_FACTOR
 
-    def _decode_time_total_series(
-        self, shard: ShardedModel, totals, batch_size: int, block_size: int
-    ):
-        base = attention_decode_time_total_series(
-            shard, self.gpu, totals, EFF_DECODE_KV
-        )
-        return base * FI_NONPAGED_DECODE_FACTOR
-
 
 class FlashInferPaged(AttentionKernel):
     """PagedAttention-based FlashInfer kernels (``FI_Paged``)."""
@@ -147,13 +138,5 @@ class FlashInferPaged(AttentionKernel):
     ) -> float:
         base = attention_decode_time_total(
             shard, self.gpu, total_tokens, EFF_DECODE_KV
-        )
-        return base * _decode_factor(shard.model.gqa_ratio, batch_size)
-
-    def _decode_time_total_series(
-        self, shard: ShardedModel, totals, batch_size: int, block_size: int
-    ):
-        base = attention_decode_time_total_series(
-            shard, self.gpu, totals, EFF_DECODE_KV
         )
         return base * _decode_factor(shard.model.gqa_ratio, batch_size)

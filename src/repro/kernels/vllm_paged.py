@@ -29,7 +29,6 @@ from .base import AttentionKernel, KernelInfo, KvLayout
 from .costmodel import (
     EFF_DECODE_KV,
     attention_decode_time_total,
-    attention_decode_time_total_series,
 )
 
 #: Figure 3: latency factor over block size 16, averaged across the
@@ -79,15 +78,5 @@ class VllmPaged(AttentionKernel):
         base = attention_decode_time_total(
             shard, self.gpu, total_tokens, EFF_DECODE_KV
         )
-        penalty = vllm_gqa_penalty(shard.model.gqa_ratio)
-        return base * penalty * VLLM_BLOCK_SIZE_FACTOR[block_size]
-
-    def _decode_time_total_series(
-        self, shard: ShardedModel, totals, batch_size: int, block_size: int
-    ):
-        base = attention_decode_time_total_series(
-            shard, self.gpu, totals, EFF_DECODE_KV
-        )
-        # Same left-to-right association as the scalar path.
         penalty = vllm_gqa_penalty(shard.model.gqa_ratio)
         return base * penalty * VLLM_BLOCK_SIZE_FACTOR[block_size]

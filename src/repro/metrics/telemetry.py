@@ -674,15 +674,6 @@ class EngineTelemetry:
         sample = engine.memory.telemetry_sample()
         if sample:
             self._apply_backend_sample(now, sample)
-        swap = engine.memory.tier
-        if swap is not None:
-            self.registry.gauge(
-                "swap_bytes_used", self.scope, "memory", "B"
-            ).set(now, float(swap.used))
-            self._delta_counter(
-                "swap_bytes_out_total", swap.stats.bytes_out, "memory", "B")
-            self._delta_counter(
-                "swap_bytes_in_total", swap.stats.bytes_in, "memory", "B")
 
     def on_report(self, engine, report) -> None:
         """A completed run's report, through the shared ``to_json``."""
@@ -712,11 +703,10 @@ class EngineTelemetry:
                     now, float(value)
                 )
 
-    def _delta_counter(self, name: str, cumulative: float, layer: str,
-                       unit: str = "") -> None:
+    def _delta_counter(self, name: str, cumulative: float, layer: str) -> None:
         last = self._cumulative.get(name, 0.0)
         if cumulative > last:
-            self.registry.counter(name, self.scope, layer, unit).inc(
+            self.registry.counter(name, self.scope, layer).inc(
                 cumulative - last
             )
             self._cumulative[name] = cumulative

@@ -12,6 +12,7 @@ vAttention manager all consume: everything is *per worker*.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import ConfigError
 from .config import ModelConfig
@@ -84,9 +85,14 @@ class ShardedModel:
         """K-only bytes of one token in one layer on one worker."""
         return self.kv_heads_per_worker * self.head_dim * self.dtype_bytes
 
-    @property
+    @cached_property
     def kv_bytes_per_token(self) -> int:
-        """K + V bytes of one token across all layers on one worker."""
+        """K + V bytes of one token across all layers on one worker.
+
+        Cached: the decode fast path reads it once per stretch
+        iteration. The value lives in the instance dict, so the frozen
+        dataclass's equality and hash still cover its fields only.
+        """
         return self.n_layers * self.kv_bytes_per_token_per_layer
 
     def max_request_cache_bytes_per_layer(self) -> int:

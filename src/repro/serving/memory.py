@@ -369,10 +369,7 @@ class _VattentionDecodePlan(DecodeFastPath):
         stats.unmap_calls += unmap_calls * count
         stats.rows_mapped += rows * count
         stats.rows_unmapped += rows * count
-        span = windows[iteration:end]
-        if not isinstance(span, list):
-            span = span.tolist()
-        manager.background.replay(submissions, span)
+        manager.background.replay(submissions, windows[iteration:end])
         return end
 
     def quiescent_until(self, iteration: int, n: int) -> int:

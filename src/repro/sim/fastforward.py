@@ -42,11 +42,6 @@ import bisect
 import math
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-try:  # pragma: no cover - numpy is part of the baked toolchain
-    import numpy as _np
-except ImportError:  # pragma: no cover - scalar fallback stays exact
-    _np = None
-
 from ..kernels.costmodel import linear_decode_time
 from ..metrics.collector import IterationRecord
 
@@ -57,10 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Horizon meaning "no memory-side bound"; the completion/arrival bounds
 #: and the 62-bit headroom keep any real stretch far below it.
 UNBOUNDED_HORIZON = 1 << 62
-
-#: Minimum provable horizon at which a stretch's numpy series pays for
-#: its array setup; shorter stretches run the scalar recurrence.
-VECTOR_THRESHOLD = 8
 
 
 class DecodeFastPath:
@@ -123,14 +114,14 @@ class DecodeFastPath:
         """Largest ``j <= n`` with hooks for ``[iteration, j)`` provably
         repeating the last hook's work, which this call applies.
 
-        ``windows`` is the stretch's compute-window series (a list or a
-        float64 array; see :meth:`_StretchPrep.series`). A
-        plan that recorded a *steady cycle* — a hook that returned
-        ``True`` and left every state its next decision reads as it
-        found it — may land that hook's effects for the whole span in
-        one step, provided the result is bit-identical to calling
-        :meth:`on_iteration` for each iteration. Plans that record no
-        cycles return ``iteration`` (replay nothing), the default.
+        ``windows`` is the stretch's list of compute windows (see
+        :meth:`_StretchPrep.series`). A plan that recorded a *steady
+        cycle* — a hook that returned ``True`` and left every state its
+        next decision reads as it found it — may land that hook's
+        effects for the whole span in one step, provided the result is
+        bit-identical to calling :meth:`on_iteration` for each
+        iteration. Plans that record no cycles return ``iteration``
+        (replay nothing), the default.
         """
         return iteration
 
@@ -200,74 +191,40 @@ class _StretchPrep:
 
         ``compute[i]`` is iteration ``i``'s latency term and
         ``starts[i]`` its start time; ``starts[i + 1]`` is its end.
-        Both come from the expression and association of
+        Both lists come from the expression and association of
         :meth:`LLMEngine._run_decode`, so every element is the float
-        the per-iteration loop reaches. With numpy importable and a
-        horizon of at least :data:`VECTOR_THRESHOLD` they are float64
-        arrays over the whole horizon (the array ops are elementwise and
-        ``cumsum`` accumulates sequentially, so both builds agree bit
-        for bit). Otherwise they are lists from the scalar recurrence,
-        built only until an iteration starts at or after ``stop_time``
-        (it would not run) or the horizon ends; a later call with a
-        later ``stop_time`` extends them in place.
+        the per-iteration loop reaches. The recurrence runs only until
+        an iteration starts at or after ``stop_time`` (it would not
+        run) or the horizon ends; a later call with a later
+        ``stop_time`` extends the lists in place.
 
         Memoized: a plan whose overhead varies walks its stateful
         :meth:`DecodeFastPath.overhead_at` here once per iteration, in
         order, and the oracle and the executor read the same floats.
         """
-        series = self._series
-        if series is None:
-            if _np is not None and self.horizon >= VECTOR_THRESHOLD:
-                series = self._array_series()
-            else:
-                series = ([], [self.start])
-            self._series = series
-        compute, starts = series
-        if isinstance(compute, list):
-            # Extend the scalar recurrence from where it stopped.
-            plan = self.plan
-            horizon = self.horizon
-            batch_size = self.batch_size
-            linear, cpu, per_seq = self.linear, self.cpu, self.per_seq
-            overhead = self.overhead
-            decode_fn = self.kernel._decode_time_total
-            i = len(compute)
-            now = starts[i]
-            total = self.total_tokens + batch_size * i
-            while i < horizon and now < stop_time:
-                attention = decode_fn(
-                    self.shard, total, batch_size, self.resolved_block
-                )
-                fw = overhead if overhead is not None else plan.overhead_at(i)
-                step = linear + attention + fw + cpu + per_seq
-                compute.append(step)
-                now = now + step
-                starts.append(now)
-                total += batch_size
-                i += 1
-        return series
-
-    def _array_series(self):
-        """The whole-horizon float64 ``(compute, starts)`` arrays."""
+        # Extend the recurrence from where the last read stopped.
+        compute, starts = series = self._series
+        plan = self.plan
         horizon = self.horizon
         batch_size = self.batch_size
-        totals = self.total_tokens + batch_size * _np.arange(
-            horizon, dtype=_np.int64
-        )
-        attention = self.kernel._decode_time_total_series(
-            self.shard, totals, batch_size, self.resolved_block
-        )
+        linear, cpu, per_seq = self.linear, self.cpu, self.per_seq
         overhead = self.overhead
-        if overhead is None:
-            overhead = _np.array(
-                [self.plan.overhead_at(i) for i in range(horizon)],
-                dtype=_np.float64,
+        decode_fn = self.kernel._decode_time_total
+        i = len(compute)
+        now = starts[i]
+        total = self.total_tokens + batch_size * i
+        while i < horizon and now < stop_time:
+            attention = decode_fn(
+                self.shard, total, batch_size, self.resolved_block
             )
-        # Elementwise adds in the scalar path's left-to-right order:
-        # ((((linear + attention) + fw) + cpu) + per_seq.
-        compute = self.linear + attention + overhead + self.cpu + self.per_seq
-        starts = _np.cumsum(_np.concatenate(((self.start,), compute)))
-        return compute, starts
+            fw = overhead if overhead is not None else plan.overhead_at(i)
+            step = linear + attention + fw + cpu + per_seq
+            compute.append(step)
+            now = now + step
+            starts.append(now)
+            total += batch_size
+            i += 1
+        return series
 
 
 class StretchOracle:
@@ -327,19 +284,16 @@ class StretchOracle:
             return None
         stop_time = prep.stop_time
         starts = prep.series(stop_time)[1]
-        # A scalar series shorter than ``cap`` already starts an
-        # iteration at or past stop_time, and starts never decrease.
+        # A series shorter than ``cap`` already starts an iteration at
+        # or past stop_time, and starts never decrease.
         if cap < len(starts) and starts[cap] < stop_time:
-            return cls(prep.batch_size, float(starts[cap]), starts)
+            return cls(prep.batch_size, starts[cap], starts)
         return cls(prep.batch_size, stop_time, starts)
 
     def iterations_before(self, time: float) -> int:
         """Iterations ``run_until(time)`` would execute (requires
         ``time < valid_until``)."""
-        starts = self._starts
-        if isinstance(starts, list):
-            return bisect.bisect_left(starts, time)
-        return int(_np.searchsorted(starts, time, side="left"))
+        return bisect.bisect_left(self._starts, time)
 
 
 class DecodeFastForwarder:
@@ -398,15 +352,7 @@ class DecodeFastForwarder:
             and self._memo_version == engine._prep_version
             and memo.start == engine.clock.now
         ):
-            stop_time = deadline
-            if engine._pending and (
-                memo.batch_size < engine.config.max_batch_size
-                or engine.telemetry is not None
-            ):
-                first_arrival = engine._pending[0].arrival_time
-                if first_arrival < stop_time:
-                    stop_time = first_arrival
-            memo.stop_time = stop_time
+            memo.stop_time = self._stop_time(memo.batch_size, deadline)
             return memo
         state = (engine._prep_version, engine.clock.now)
         if budget is None and self._memo_none == state:
@@ -442,22 +388,6 @@ class DecodeFastForwarder:
             horizon = plan.horizon
         if horizon < 2:
             return self._prove_failed(budget, state)
-        # --- Bound (4): next arrival / caller deadline, checked live.
-        # A *full* batch renders pending arrivals inert: no policy can
-        # observe the queues through plan_iteration's view, admission
-        # is capacity-gated, and a queued-but-unadmitted request holds
-        # no memory — so until a completion frees a slot (bound 3 ends
-        # the stretch there first), the ingestion instant changes no
-        # float. Only telemetry could see the difference (queue-entry
-        # events), so an instrumented engine keeps the arrival bound.
-        stop_time = deadline
-        if engine._pending and (
-            len(batch) < config.max_batch_size
-            or engine.telemetry is not None
-        ):
-            first_arrival = engine._pending[0].arrival_time
-            if first_arrival < stop_time:
-                stop_time = first_arrival
 
         # Constant terms of the iteration-latency expression, produced
         # by the same calls (and therefore the same floats) as
@@ -467,8 +397,8 @@ class DecodeFastForwarder:
         prep.plan = plan
         prep.batch = batch
         prep.horizon = horizon
-        prep.stop_time = stop_time
         prep.batch_size = len(batch)
+        prep.stop_time = self._stop_time(prep.batch_size, deadline)
         prep.shard = shard
         prep.linear = linear_decode_time(shard, config.gpu, prep.batch_size)
         kernel = engine.decode_kernel
@@ -489,11 +419,35 @@ class DecodeFastForwarder:
             total_tokens += request.context_len
         prep.total_tokens = total_tokens
         prep.oracle_cap = None
-        prep._series = None
+        prep._series = ([], [prep.start])
         if budget is None:
             self._memo = prep
             self._memo_version = engine._prep_version
         return prep
+
+    def _stop_time(self, batch_size: int, deadline: float) -> float:
+        """Bound (4): the next arrival or the caller's deadline.
+
+        Checked live: an iteration runs only if it starts strictly
+        before this instant. A *full* batch renders pending arrivals
+        inert: no policy can observe the queues through
+        plan_iteration's view, admission is capacity-gated, and a
+        queued-but-unadmitted request holds no memory — so until a
+        completion frees a slot (bound 3 ends the stretch there first),
+        the ingestion instant changes no float. Only telemetry could
+        see the difference (queue-entry events), so an instrumented
+        engine keeps the arrival bound.
+        """
+        engine = self.engine
+        stop_time = deadline
+        if engine._pending and (
+            batch_size < engine.config.max_batch_size
+            or engine.telemetry is not None
+        ):
+            first_arrival = engine._pending[0].arrival_time
+            if first_arrival < stop_time:
+                stop_time = first_arrival
+        return stop_time
 
     def _prove_failed(self, budget: Optional[int], state) -> None:
         """Record an unbudgeted proof failure against the state pair."""
@@ -506,16 +460,11 @@ class DecodeFastForwarder:
         engine = self.engine
         plan = prep.plan
         batch = prep.batch
-        horizon = prep.horizon
         batch_size = prep.batch_size
         stop_time = prep.stop_time
         compute, starts = prep.series(stop_time)
-        vector = not isinstance(starts, list)
         # Iteration i runs iff it *starts* strictly before stop_time.
-        if vector:
-            n = int(_np.searchsorted(starts[:horizon], stop_time, side="left"))
-        else:
-            n = bisect.bisect_left(starts, stop_time, 0, len(compute))
+        n = bisect.bisect_left(starts, stop_time, 0, len(compute))
         if prep.has_hooks:
             # Hooked plans observe every iteration — but a plan can
             # prove spans of iterations whose hooks would do nothing
@@ -535,7 +484,7 @@ class DecodeFastForwarder:
                     executed = i = j
                     continue
                 executed = i + 1
-                if not plan.on_iteration(i, float(compute[i])):
+                if not plan.on_iteration(i, compute[i]):
                     break
                 i += 1
         else:
@@ -546,17 +495,11 @@ class DecodeFastForwarder:
         # sums those latencies serially, left to right. Downstream sums
         # must add these (not stretch subtotals) to reproduce the
         # per-iteration loop's float association bit for bit.
-        if vector:
-            latency_series = _np.diff(starts[: executed + 1])
-            latencies = latency_series.tolist()
-            # Serial left-to-right sum, via cumsum's sequential pass.
-            latency_sum = float(_np.cumsum(latency_series)[-1])
-        else:
-            latencies = [starts[i + 1] - starts[i] for i in range(executed)]
-            latency_sum = 0.0
-            for latency in latencies:
-                latency_sum += latency
-        now = float(starts[executed])
+        latencies = [starts[i + 1] - starts[i] for i in range(executed)]
+        latency_sum = 0.0
+        for latency in latencies:
+            latency_sum += latency
+        now = starts[executed]
         last_step_now = float(starts[executed - 1])
 
         engine.clock.jump_to(now)

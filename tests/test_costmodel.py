@@ -2,20 +2,21 @@
 
 import pytest
 
-from repro.errors import KernelError
+from repro.errors import ConfigError, KernelError
 from repro.gpu.spec import A100, H100
 from repro.kernels.costmodel import (
     EFF_ATTN_PREFILL,
     EFF_DECODE_KV,
     Roofline,
     attention_decode_time,
+    attention_decode_time_total,
     attention_prefill_time,
     interp_factor,
     linear_decode_time,
     linear_prefill_time,
 )
 from repro.models.shard import ShardedModel
-from repro.models.zoo import YI_6B
+from repro.models.zoo import YI_6B, get_model, list_models
 
 
 @pytest.fixture
@@ -88,6 +89,31 @@ class TestAttentionPrimitives:
     def test_prefill_rejects_negative(self, shard):
         with pytest.raises(KernelError):
             attention_prefill_time(shard, A100, -1, EFF_ATTN_PREFILL)
+
+    def test_decode_total_is_the_roofline_memory_time(self):
+        # The decode fast path calls attention_decode_time_total once per
+        # iteration, so it skips the Roofline object and caches the KV
+        # bytes per token; every float must stay the roofline's.
+        shards = []
+        for name in list_models():
+            for tp_degree in (1, 2, 4, 8):
+                try:
+                    shards.append(ShardedModel(get_model(name), tp_degree))
+                except ConfigError:
+                    continue  # heads do not split over this degree
+        assert len(shards) > len(list_models())
+        for gpu in (A100, H100):
+            for shard in shards:
+                for total in (0, 1, 4_095, 1_000_003, 10**7, 3 * 10**9):
+                    expected = Roofline(gpu).memory_time(
+                        float(total) * shard.kv_bytes_per_token, EFF_DECODE_KV
+                    )
+                    got = attention_decode_time_total(
+                        shard, gpu, total, EFF_DECODE_KV
+                    )
+                    assert got.hex() == expected.hex()
+        with pytest.raises(KernelError):
+            attention_decode_time_total(shards[0], A100, -1, EFF_DECODE_KV)
 
 
 class TestInterpolation:

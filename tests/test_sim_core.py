@@ -1,6 +1,11 @@
 """Unit coverage of the event-driven simulation core (repro.sim)."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +17,6 @@ from repro.scheduling import make_scheduler_policy
 from repro.scheduling.base import SchedulerPolicy, SchedulingView
 from repro.serving.engine import EngineConfig, LLMEngine
 from repro.serving.request import Request, RequestState
-from repro.sim import fastforward
 from repro.sim.events import EventKind, EventQueue
 from repro.workloads.traces import fixed_trace
 
@@ -228,12 +232,11 @@ class TestStretchSeries:
                 return prep
             engine.run(max_iterations=1)
 
-    def test_scalar_series_extends_to_the_full_build(self, monkeypatch):
-        """Without numpy a series stops at the first iteration starting at
-        or after its stop time; a later read extends it to exactly the
-        floats of one full build, walking the Paged plan's stateful
-        overheads on from where it stopped."""
-        monkeypatch.setattr(fastforward, "_np", None)
+    def test_scalar_series_extends_to_the_full_build(self):
+        """A series stops at the first iteration starting at or after
+        its stop time; a later read extends it to exactly the floats of
+        one full build, walking the Paged plan's stateful overheads on
+        from where it stopped."""
         prep = self.staged()
         assert prep.overhead is None  # block growth inside the stretch
         stop_time = prep.start + 0.05
@@ -243,3 +246,68 @@ class TestStretchSeries:
         full = self.staged().series()
         assert len(full[0]) == prep.horizon
         assert prep.series() == full
+
+
+# ----------------------------------------------------------------------
+class TestSimulatorImports:
+    def test_simulator_never_imports_numpy(self):
+        """A fast-forwarded engine and a fleet run on the scalar series
+        alone: numpy is a benchmark dependency, never the simulator's.
+        A fresh interpreter keeps other tests' imports out of the way."""
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import repro
+            from repro.cluster import ClusterConfig, ClusterEngine
+            from repro.gpu.spec import A100
+            from repro.models.shard import ShardedModel
+            from repro.models.zoo import YI_6B
+            from repro.serving.engine import EngineConfig, LLMEngine
+            from repro.workloads.arrival import poisson_arrivals
+            from repro.workloads.traces import fixed_trace
+
+            shard = ShardedModel(YI_6B, 1)
+            engine = LLMEngine(
+                EngineConfig(shard=shard, gpu=A100, memory_backend="vattention")
+            )
+            engine.submit(fixed_trace(count=4, prompt_len=1_000, max_new_tokens=200))
+            decode = engine.run().metrics.of_phase("decode")
+            assert any(record.iterations > 1 for record in decode)
+            fleet = ClusterEngine(
+                ClusterConfig(
+                    engine=EngineConfig(
+                        shard=shard,
+                        gpu=A100,
+                        memory_backend="paged",
+                        prefill_kernel="fa2_paged",
+                        decode_kernel="fa2_paged",
+                        block_size=64,
+                    ),
+                    n_replicas=2,
+                    routing_policy="least_outstanding_tokens",
+                )
+            )
+            arrivals = poisson_arrivals(qps=4.0, count=16, seed=7)
+            fleet.submit(
+                fixed_trace(
+                    count=16, prompt_len=1_000, max_new_tokens=200,
+                    arrivals=arrivals,
+                )
+            )
+            fleet.run()
+            assert "numpy" not in sys.modules, repro.__file__
+            """
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
