@@ -500,7 +500,7 @@ class DecodeFastForwarder:
         for latency in latencies:
             latency_sum += latency
         now = starts[executed]
-        last_step_now = float(starts[executed - 1])
+        last_step_now = starts[executed - 1]
 
         engine.clock.jump_to(now)
         for request in batch:
