@@ -309,5 +309,6 @@ class TestSimulatorImports:
             env=env,
             capture_output=True,
             text=True,
+            timeout=300,
         )
         assert result.returncode == 0, result.stderr
