@@ -47,7 +47,7 @@ the fixed-fleet engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import ConfigError, SchedulingError
@@ -56,7 +56,7 @@ from ..metrics.rolling import RollingPercentileTracker
 from ..metrics.telemetry import ClusterTelemetry
 from ..metrics.telemetry import active as active_telemetry
 from ..scheduling import validate_scheduler_policy
-from ..serving.engine import EngineConfig, LLMEngine, _default_fast_forward
+from ..serving.engine import EngineConfig, LLMEngine
 from ..serving.request import Request
 from ..sim.events import EventKind, EventQueue
 from ..sim.fastforward import FleetStretchExecutor, StretchOracle
@@ -127,14 +127,6 @@ class ClusterConfig:
     backlog_guard_tokens: int = 65_536
     #: Rolling window the SLO tracker keeps TTFT completions over.
     slo_window_seconds: float = 30.0
-    #: Run the cluster through the joint-horizon fast loop (skip no-op
-    #: replica sweeps; batch arrival dispatch where the routing policy
-    #: is state-blind). Request-level results are identical to the
-    #: legacy next-event loop; ``False`` runs that loop byte-for-byte.
-    #: Defaults to the same switch as the per-engine decode
-    #: fast-forwarder (``repro.serving.engine.DEFAULT_FAST_FORWARD``),
-    #: so one flip toggles both layers.
-    fast_forward: bool = field(default_factory=_default_fast_forward)
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -252,6 +244,8 @@ class Replica(ReplicaView):
         self.retire_time: Optional[float] = None
         #: Guards the one-shot DRAIN_COMPLETE event.
         self.drain_event_pushed = False
+        #: What window routing shows the router (see _ReplicaReplay).
+        self.replay = _ReplicaReplay(self)
 
     @property
     def is_serving(self) -> bool:
@@ -279,24 +273,27 @@ class _ReplicaReplay(ReplicaView):
     answered analytically where provable.
 
     Window routing binds every view to the arrival instant with
-    :meth:`at` before each ``select``. While a replica's closed-form
-    predictor (:class:`~repro.sim.fastforward.StretchOracle`, or a
-    constant for idle/parked/overshot replicas) is valid, observations
-    cost a bisection (backlog) or a frozen-tree probe (cache) —
-    no sweep. When the predictor expires, or the replica just received
-    a submission it cannot see (:meth:`invalidate`), the replica is
-    swept to the query instant with a real ``run_until`` — exact by the
-    run-until composition the fast loop is built on — and the predictor
-    rebuilt from a fresh steady-stretch prep. Every answer therefore
-    equals what per-arrival dispatch would have observed.
+    :meth:`at` before each ``select``; the instant is only recorded,
+    and the first read (``outstanding_tokens`` or ``probe_prefix``)
+    proves or sweeps to it in :meth:`_observe`. A policy that reads no
+    replica state therefore never sweeps one. While a replica's
+    closed-form predictor (:class:`~repro.sim.fastforward.
+    StretchOracle`, or a constant for idle, parked and unprovable
+    replicas) is valid, a read costs a bisection (backlog) or a
+    frozen-tree probe (cache) — no sweep. When the predictor expires,
+    or the replica just received a submission, the replica is swept to
+    the query instant with a real ``run_until`` — exact by the
+    run-until composition the fast loop is built on — and the
+    predictor rebuilt from a fresh steady-stretch prep. Every answer
+    therefore equals what per-arrival dispatch would have observed.
 
-    Views persist *across* arrival windows (the cluster loop caches
-    them per replica and only refreshes the window bound). Predictor
-    answers stay exact across the intervening fleet execution because:
+    Each :class:`Replica` owns its view for its whole life, so
+    predictors carry across arrival windows. Their answers stay exact
+    across the intervening fleet execution because:
 
     * every mutation a prediction cannot model bumps the engine's
       ``_prep_version`` (submission, drain entry, preemption) — checked
-      on every query;
+      on every observation;
     * execution between windows only runs the *modeled* iterations for
       an untouched replica: the fleet executor's stretches are
       deterministic continuations of the prepped stretch, the oracle's
@@ -304,66 +301,51 @@ class _ReplicaReplay(ReplicaView):
       possible hook effect, and queries are monotone past every sweep
       horizon — so any execution beyond the modeled span implies the
       next query time already expired the predictor;
-    * an idle replica cannot change except by submission, and a parked
-      replica cannot change before its next pending arrival (its
-      validity bound) — sweeps to earlier instants are no-ops.
+    * an idle replica cannot change except by submission, a parked
+      replica cannot change before its next pending arrival, and a
+      running replica cannot change before its own clock — sweeps to
+      earlier instants are no-ops.
     """
 
     __slots__ = (
         "replica",
         "index",
-        "_bound",
         "_time",
+        "_observed",
         "_base",
         "_oracle",
         "_valid",
         "_version",
-        "_state",
     )
 
-    def __init__(self, replica: Replica, bound: float) -> None:
+    def __init__(self, replica: Replica) -> None:
         self.replica = replica
         self.index = replica.index
-        self._bound = bound
         self._time = 0.0
+        self._observed = True
         self._base = 0
         self._oracle: Optional[StretchOracle] = None
         self._valid = -math.inf
         self._version = -1
-        self._state: Optional[tuple] = None
-
-    def rebind(self, bound: float) -> None:
-        """Adopt a new arrival window's fleet-event bound."""
-        self._bound = bound
 
     def at(self, time: float) -> None:
         """Bind observations to the arrival instant ``time``."""
         self._time = time
+        self._observed = False
+
+    def _observe(self) -> None:
+        """Prove the predictor at the bound instant, or sweep and
+        rebuild it (once per :meth:`at`)."""
+        if self._observed:
+            return
+        self._observed = True
+        time = self._time
         engine = self.replica.engine
         if time < self._valid and engine._prep_version == self._version:
-            return
-        clock_now = engine.clock.now
-        if (
-            clock_now >= time
-            and (engine._prep_version, clock_now) == self._state
-        ):
-            # The engine's clock already overshot the query instant and
-            # its state pair is unchanged since the last rebuild:
-            # ``run_until(time)`` is a provable no-op (the serve
-            # prologue is idempotent at a fixed state pair), so the
-            # observed state — and every answer derived from it — is
-            # identical to the last rebuild's. Common for opaque
-            # replicas queried repeatedly inside an arrival burst.
             return
         engine.run_until(time)
         self._rebuild()
         self._version = engine._prep_version
-        self._state = (engine._prep_version, engine.clock.now)
-
-    def invalidate(self) -> None:
-        """Force a sweep + rebuild before the next observation."""
-        self._valid = -math.inf
-        self._state = None
 
     def _rebuild(self) -> None:
         engine = self.replica.engine
@@ -384,15 +366,8 @@ class _ReplicaReplay(ReplicaView):
             if oracle is not None:
                 self._oracle = oracle
                 self._valid = oracle.valid_until
-            else:
-                # Hooks may fire at once: opaque — sweep per query.
-                self._valid = -math.inf
-        elif engine.clock.now >= self._bound:
-            # Overshot the whole window: ``run_until(t < bound)`` is a
-            # provable no-op, so the observed state is constant for the
-            # rest of *this* window (later windows must re-prove).
-            self._valid = self._bound
-        elif not engine._running:
+                return
+        if not engine._running:
             # Parked: nothing is admitted and nothing can start before
             # the next pending arrival; constant until then.
             pending = engine._pending
@@ -402,12 +377,16 @@ class _ReplicaReplay(ReplicaView):
                 else math.inf
             )
         else:
-            # Running but no provable steady stretch (prefill next,
-            # stretch too short, ...): opaque — sweep per query.
-            self._valid = -math.inf
+            # Running with no provable stretch (prefill next, hooks
+            # due, stretch too short, ...): ``run_until`` to any
+            # instant before the clock is a no-op (the serve prologue
+            # is idempotent at an unchanged version), so the state is
+            # constant until the clock; later instants sweep.
+            self._valid = engine.clock.now
 
     @property
     def outstanding_tokens(self) -> int:
+        self._observe()
         oracle = self._oracle
         if oracle is None:
             return self._base
@@ -416,6 +395,7 @@ class _ReplicaReplay(ReplicaView):
         )
 
     def probe_prefix(self, request: Request) -> int:
+        self._observe()
         # A valid predictor freezes the radix tree (pure decode
         # completes no prefill and retires nothing inside the validity
         # span), so the live tree *is* the snapshot at every instant
@@ -535,10 +515,6 @@ class ClusterEngine:
         #: Advances replicas to a horizon (the fast loop's joint
         #: horizon and the final drain), telemetry on or off.
         self._fleet_exec = FleetStretchExecutor()
-        #: Persistent analytic router views (state-aware window
-        #: routing), keyed by replica index; see :class:`_ReplicaReplay`
-        #: for why their predictors survive across windows.
-        self._replay_views: Dict[int, _ReplicaReplay] = {}
 
     # ------------------------------------------------------------------
     # Submission
@@ -604,7 +580,7 @@ class ClusterEngine:
                 first + self.config.scale_decide_interval,
                 EventKind.SCALE_DECIDE,
             )
-        if self.config.fast_forward:
+        if self.config.engine.fast_forward:
             self._run_fast_loop()
         else:
             self._run_event_loop()
@@ -684,41 +660,24 @@ class ClusterEngine:
           submitted to them since, so only replicas *outside* the
           run-ahead sweep — the disaggregated decode tier — can lag the
           event about to dispatch.
-        * One sweep of the whole fleet per arrival. When the routing
-          policy is state-blind (``observes_state`` is ``False``), no
-          telemetry registry is recording per-arrival gauges, and the
-          fleet is not disaggregated, an arrival's dispatch is pure
-          bookkeeping — so every arrival up to the next fleet-state
-          event (scale lifecycle; migrations cannot exist un-disagg) is
-          routed in one pass, and each engine then crosses the whole
-          window in analytic stretches broken only by its own
-          admissions. The serving set cannot change inside the window
-          (lifecycle transitions bound it), so the routing sequence is
-          the one the legacy loop produces.
-        * One sweep of the whole fleet per arrival, *state-aware*
-          edition. A policy whose observations all go through the
-          :class:`~repro.cluster.router.ReplicaView` interface
-          (``supports_analytic_replay``) routes the same windows
-          against :class:`_ReplicaReplay` views: each replica's
-          backlog is replayed closed-form from its steady decode
-          stretch and its radix tree probed frozen, with a real
-          single-replica sweep exactly where a closed form expires (on
-          submission, at a stretch's hook/completion edge, or past a
-          predictor's ``stop_time``). Observations — and therefore
-          routing decisions — are provably those of per-arrival
-          dispatch.
+        * One sweep of the whole fleet per arrival. When no telemetry
+          registry is recording per-arrival gauges and the fleet is not
+          disaggregated, every arrival up to the next fleet-state event
+          (scale lifecycle; migrations cannot exist un-disagg) is
+          routed in one window against each serving replica's
+          :class:`_ReplicaReplay` view. A view sweeps its replica only
+          when the policy reads it and no closed form answers: backlogs
+          replay from the steady decode stretch, radix trees are probed
+          frozen, and a state-blind policy never sweeps at all. Each
+          engine then crosses the rest of the window in analytic
+          stretches broken only by its own admissions. The serving set
+          cannot change inside the window (lifecycle transitions bound
+          it), so observations — and therefore routing decisions — are
+          provably those of per-arrival dispatch.
         """
         events = self._events
-        batch_arrivals = (
-            self._telemetry is None
-            and not self.config.disaggregated
-            and not self.router.observes_state
-        )
         window_arrivals = (
-            self._telemetry is None
-            and not self.config.disaggregated
-            and self.router.observes_state
-            and self.router.supports_analytic_replay
+            self._telemetry is None and not self.config.disaggregated
         )
         fleet = self._fleet_exec
         while True:
@@ -734,30 +693,11 @@ class ClusterEngine:
             for replica in self._decode_targets:
                 if replica.engine.has_work():
                     replica.engine.run_until(now)
-            if (
-                batch_arrivals or window_arrivals
-            ) and head.kind is EventKind.ARRIVAL:
+            if window_arrivals and head.kind is EventKind.ARRIVAL:
                 bound = events.next_fleet_event()
-                replay = None
-                if window_arrivals:
-                    # Persistent per-replica views: a replica whose
-                    # predictor is still valid (nothing was submitted
-                    # to it and its stretch edge lies ahead) carries
-                    # its closed form into this window — no sweep, no
-                    # re-prep. Stale cache entries (scaled-away
-                    # replicas, reused indices) are replaced.
-                    cache = self._replay_views
-                    replay = []
-                    for r in self._route_targets:
-                        if not r.is_serving:
-                            continue
-                        view = cache.get(r.index)
-                        if view is None or view.replica is not r:
-                            view = _ReplicaReplay(r, bound)
-                            cache[r.index] = view
-                        else:
-                            view.rebind(bound)
-                        replay.append(view)
+                views = [
+                    r.replay for r in self._route_targets if r.is_serving
+                ]
                 routed = False
                 while True:
                     head = events.peek()
@@ -768,14 +708,10 @@ class ClusterEngine:
                     ):
                         break
                     events.pop()
-                    if replay is None:
-                        self._route(head.payload)
-                    else:
-                        for view in replay:
-                            view.at(head.time)
-                        choice = self.router.select(head.payload, replay)
-                        self._dispatch_to(head.payload, choice.replica)
-                        choice.invalidate()
+                    for view in views:
+                        view.at(head.time)
+                    choice = self.router.select(head.payload, views)
+                    self._dispatch_to(head.payload, choice.replica)
                     routed = True
                 if routed:
                     continue
@@ -985,14 +921,7 @@ class ClusterEngine:
         self, now: float, p99_ttft: Optional[float] = None
     ) -> None:
         """Sample the fleet gauges (routing and scale-decide instants)."""
-        n_warming = sum(
-            1
-            for r in self.replicas
-            if r.state in (ReplicaState.PROVISIONING, ReplicaState.WARMING)
-        )
-        n_draining = sum(
-            1 for r in self.replicas if r.state is ReplicaState.DRAINING
-        )
+        n_warming, n_draining = self._lifecycle_counts()
         self._telemetry.sample_fleet(
             now,
             self.n_serving,
@@ -1020,17 +949,19 @@ class ClusterEngine:
         for time, ttft in fresh:
             self._slo_tracker.observe(time, ttft)
 
+    def _lifecycle_counts(self) -> tuple:
+        """(booting, draining) replica counts."""
+        n_booting = n_draining = 0
+        for r in self.replicas:
+            if r.state in (ReplicaState.PROVISIONING, ReplicaState.WARMING):
+                n_booting += 1
+            elif r.state is ReplicaState.DRAINING:
+                n_draining += 1
+        return n_booting, n_draining
+
     def _fleet_view(self, now: float) -> FleetView:
         serving = [r for r in self.replicas if r.is_serving]
-        n_booting = sum(
-            1
-            for r in self.replicas
-            if r.state
-            in (ReplicaState.PROVISIONING, ReplicaState.WARMING)
-        )
-        n_draining = sum(
-            1 for r in self.replicas if r.state is ReplicaState.DRAINING
-        )
+        n_booting, n_draining = self._lifecycle_counts()
         slo = self.config.slo_ttft
         return FleetView(
             now=now,

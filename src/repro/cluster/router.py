@@ -51,30 +51,23 @@ class RoutingPolicy(abc.ABC):
 
     name: str
 
-    #: Whether :meth:`select` reads replica state (backlog, cache
-    #: content). A state-blind policy routes identically no matter how
-    #: far the fleet has simulated, which lets the cluster fast loop
-    #: dispatch whole arrival windows before sweeping the replicas.
-    observes_state: bool = True
-
-    #: Whether every observation :meth:`select` makes goes through the
-    #: :class:`ReplicaView` interface alone (``outstanding_tokens``,
-    #: ``probe_prefix``). The cluster fast loop may then route whole
-    #: arrival windows against *analytic* replica views: outstanding
-    #: tokens replayed closed-form from each replica's steady decode
-    #: stretch and cache probes against its provably-frozen radix tree,
-    #: with a real replica sweep only where a closed form expires — so
-    #: window decisions are exactly per-arrival dispatch's. Policies
-    #: that reach around the view, or whose cross-call state depends on
-    #: *when* replicas are simulated, must leave this ``False``; they
-    #: then route one arrival at a time.
-    supports_analytic_replay: bool = False
-
     @abc.abstractmethod
     def select(
         self, request: Request, replicas: Sequence[ReplicaView]
     ) -> ReplicaView:
-        """Choose the replica ``request`` is dispatched to."""
+        """Choose the replica ``request`` is dispatched to.
+
+        Every observation must go through the :class:`ReplicaView`
+        interface alone (``outstanding_tokens``, ``probe_prefix``), and
+        no cross-call state may depend on *when* replicas are
+        simulated. The cluster fast loop relies on this: it routes
+        whole arrival windows against lazy *analytic* views, whose
+        backlogs replay closed-form from each replica's steady decode
+        stretch and whose cache probes read a provably frozen radix
+        tree, with a real replica sweep only where a closed form
+        expires — and only for the replicas the policy reads. Window
+        decisions are then exactly per-arrival dispatch's.
+        """
 
 
 def least_loaded(replicas: Sequence[ReplicaView]) -> ReplicaView:
@@ -85,8 +78,6 @@ class RoundRobinPolicy(RoutingPolicy):
     """Cycle through replicas in index order."""
 
     name = "round_robin"
-    observes_state = False
-    supports_analytic_replay = True
 
     def __init__(self) -> None:
         self._next = 0
@@ -105,7 +96,6 @@ class LeastOutstandingPolicy(RoutingPolicy):
     """Route to the replica with the smallest token backlog."""
 
     name = "least_outstanding_tokens"
-    supports_analytic_replay = True
 
     def select(
         self, request: Request, replicas: Sequence[ReplicaView]
@@ -126,7 +116,6 @@ class CacheAwarePolicy(RoutingPolicy):
     """
 
     name = "cache_aware"
-    supports_analytic_replay = True
 
     def __init__(
         self, balance_abs_tokens: int = 16_384, balance_rel: float = 1.5

@@ -403,9 +403,8 @@ class LLMEngine:
     def begin_steady_stretch(self, deadline: float):
         """Stage this engine's next analytic decode stretch, if provable.
 
-        Replays the serve loop's prologue (arrival ingestion, the
-        serving-start stamp, admission) exactly as a
-        ``run_until(deadline)`` pass would — the prologue is idempotent,
+        Runs the serve loop's prologue (:meth:`_serve_prologue`)
+        exactly as a ``run_until(deadline)`` pass would — it is idempotent,
         so a subsequent ``run_until`` composes exactly — then *prepares*
         the decode stretch the fast-forwarder would execute next,
         without executing it. Returns a stretch prep for
@@ -420,10 +419,7 @@ class LLMEngine:
         """
         if not self.config.fast_forward or not self.has_work():
             return None
-        self._ingest_arrivals()
-        if self._serve_start is None and (self._waiting or self._running):
-            self._serve_start = self.clock.now
-        self._admit()
+        self._serve_prologue()
         if not self._running:
             return None
         if self.clock.now >= deadline:
@@ -446,15 +442,7 @@ class LLMEngine:
         while self.has_work():
             if max_iterations is not None and iterations >= max_iterations:
                 break
-            self._ingest_arrivals()
-            if self._serve_start is None and (self._waiting or self._running):
-                # Serving begins when the first request is in front of
-                # the engine — not when an idle engine's (possibly far
-                # older) clock last stood, and not at 0.0: a decode-tier
-                # replica may receive its first work at a large virtual
-                # time, and its report window starts there.
-                self._serve_start = self.clock.now
-            self._admit()
+            self._serve_prologue()
             if not self._running:
                 upcoming = (
                     self._pending[0].arrival_time if self._pending else None
@@ -478,6 +466,20 @@ class LLMEngine:
             self._run_iteration()
             iterations += 1
         return iterations
+
+    def _serve_prologue(self) -> None:
+        """The first steps of every serve pass: arrival ingestion, the
+        serving-start stamp and admission. Idempotent at a fixed clock
+        and ``_prep_version``."""
+        self._ingest_arrivals()
+        if self._serve_start is None and (self._waiting or self._running):
+            # Serving begins when the first request is in front of the
+            # engine — not when an idle engine's (possibly far older)
+            # clock last stood, and not at 0.0: a decode-tier replica
+            # may receive its first work at a large virtual time, and
+            # its report window starts there.
+            self._serve_start = self.clock.now
+        self._admit()
 
     def _run_iteration(self) -> None:
         """Execute the iteration the scheduling policy planned."""

@@ -1,7 +1,8 @@
 """Joint-horizon cluster fast-loop edge cases.
 
-The fast loop (``ClusterConfig.fast_forward``) sweeps replicas to a
-joint fleet horizon and batches state-blind arrival windows. These
+The fast loop (the engine template's ``fast_forward``) sweeps replicas
+to a joint fleet horizon and routes arrival windows against lazy
+replica views. These
 tests pin its boundary behaviour: equal-time event ties dispatch in
 the legacy kind order, drained replicas retire mid-loop, the
 degenerate single-replica fleet stays exact, a migration landing at an
@@ -267,43 +268,32 @@ class TestPersistentViewReuse:
         self, monkeypatch
     ):
         """The equivalence sweeps prove window routing is exact; this
-        pins that the *mechanism* engages — views are cached across
-        windows (``rebind``, not reconstruction) and some queries are
-        answered from a carried predictor with no engine sweep —
-        otherwise the persistence layer proves nothing."""
+        pins that the *mechanism* engages — each replica's view is
+        built once and the same object serves every later window, and
+        some reads are answered from a carried predictor with no engine
+        sweep — otherwise the persistence layer proves nothing."""
         from repro.cluster import engine as cluster_module
 
-        constructed = []
-        rebinds = []
+        views = {}
+        observed = []
         analytic = []
-        real_init = cluster_module._ReplicaReplay.__init__
-        real_rebind = cluster_module._ReplicaReplay.rebind
-        real_at = cluster_module._ReplicaReplay.at
+        real_observe = cluster_module._ReplicaReplay._observe
 
-        def spy_init(self, replica, bound):
-            constructed.append(replica.index)
-            real_init(self, replica, bound)
-
-        def spy_rebind(self, bound):
-            rebinds.append(self.index)
-            real_rebind(self, bound)
-
-        def spy_at(self, time):
+        def spy_observe(self):
             engine = self.replica.engine
-            if (
-                time < self._valid
-                and engine._prep_version == self._version
-            ):
-                analytic.append(self.index)
-            real_at(self, time)
+            if not self._observed:
+                observed.append(self.index)
+                views.setdefault(self.index, set()).add(id(self))
+                if (
+                    self._time < self._valid
+                    and engine._prep_version == self._version
+                ):
+                    analytic.append(self.index)
+            real_observe(self)
 
         monkeypatch.setattr(
-            cluster_module._ReplicaReplay, "__init__", spy_init
+            cluster_module._ReplicaReplay, "_observe", spy_observe
         )
-        monkeypatch.setattr(
-            cluster_module._ReplicaReplay, "rebind", spy_rebind
-        )
-        monkeypatch.setattr(cluster_module._ReplicaReplay, "at", spy_at)
 
         def build():
             # An elastic fleet that never actually scales (watermarks
@@ -323,16 +313,55 @@ class TestPersistentViewReuse:
             return fleet
 
         monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", True)
-        fast = build().run()
+        fleet = build()
+        fast = fleet.run()
 
-        assert constructed, "analytic replay never engaged"
-        # Each replica's view is built once and rebound thereafter.
-        assert len(set(constructed)) == len(constructed) <= 3
-        assert rebinds, "no view survived into a second arrival window"
-        assert analytic, "no query was answered from a carried predictor"
+        assert observed, "analytic replay never engaged"
+        # One view per replica, the one the replica owns, observed at
+        # many arrivals across the run's windows.
+        assert views == {
+            replica.index: {id(replica.replay)} for replica in fleet.replicas
+        }
+        assert len(observed) > len(views)
+        assert analytic, "no read was answered from a carried predictor"
 
         monkeypatch.setattr(engine_module, "DEFAULT_FAST_FORWARD", False)
         assert fingerprint(fast) == fingerprint(build().run())
+
+    def test_state_blind_router_never_sweeps_a_view(self, monkeypatch):
+        """``round_robin`` reads no replica state, so its windows never
+        prove or sweep a view — the lazy views cost it nothing — and
+        the run still matches the legacy loop."""
+        from repro.cluster import engine as cluster_module
+
+        rebuilds = []
+        real_rebuild = cluster_module._ReplicaReplay._rebuild
+
+        def spy_rebuild(self):
+            rebuilds.append(self.index)
+            real_rebuild(self)
+
+        monkeypatch.setattr(
+            cluster_module._ReplicaReplay, "_rebuild", spy_rebuild
+        )
+
+        def build():
+            fleet = cluster(
+                3,
+                autoscaler="queue_depth",
+                min_replicas=3,
+                max_replicas=4,
+                scale_decide_interval=0.25,
+                queue_high_watermark=1_000_000,
+                queue_low_watermark=0,
+            )
+            fleet.submit(trace(count=32, qps=6.0))
+            return fleet
+
+        fast, legacy = run_both(build, monkeypatch)
+        assert rebuilds == []
+        assert fingerprint(fast) == fingerprint(legacy)
+        assert len(fast.finished_records) == 32
 
 
 # ----------------------------------------------------------------------

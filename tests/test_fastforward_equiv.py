@@ -242,9 +242,10 @@ class TestPressureOracle:
 # three routing policies, the disaggregated prefill/decode split, one
 # fleet per autoscaler policy, and Paged-backend fleets under the two
 # state-aware routers (their stretches have varying framework overhead
-# under the analytic router replay). ``ClusterConfig.fast_forward``
-# follows the same module default the engines read, so one flip drives
-# both the fleet loop and every replica's decode fast-forwarding.
+# under the analytic router replay). The cluster loop follows its
+# engine template's ``fast_forward``, whose default is the module switch,
+# so one flip drives both the fleet loop and every replica's decode
+# fast-forwarding.
 CLUSTER_COUNT = 24
 CLUSTER_QPS = 8.0
 
