@@ -33,16 +33,27 @@ def percentile(values: Sequence[float], q: float) -> float:
         raise ValueError("percentile of empty sequence")
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"q must be in [0, 100], got {q}")
-    ordered = sorted(values)
+    return sorted_percentile(sorted(values), q)
+
+
+def sorted_percentile(ordered: Sequence[float], q: float) -> float:
+    """Linear-interpolated percentile of the non-empty sorted
+    ``ordered``, ``q`` in [0, 100] (the caller validates both).
+
+    The interpolation is clamped to its two neighbours: scaling a
+    subnormal by ``frac`` can round to zero, which would put e.g. the
+    median of ``[5e-324, 5e-324]`` below the minimum.
+    """
     if len(ordered) == 1:
         return ordered[0]
     rank = (q / 100.0) * (len(ordered) - 1)
     low = int(math.floor(rank))
     high = int(math.ceil(rank))
+    lo, hi = ordered[low], ordered[high]
     if low == high:
-        return ordered[low]
+        return lo
     frac = rank - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac
+    return min(max(lo * (1.0 - frac) + hi * frac, lo), hi)
 
 
 def median(values: Sequence[float]) -> float:

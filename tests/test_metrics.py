@@ -290,6 +290,13 @@ class TestRollingWindow:
         # At now=12 the slow sample at t=0 has aged out.
         assert tracker.attainment(3.0, now=12.0) == 1.0
 
+    def test_subnormal_percentile_stays_in_range(self):
+        # Interpolating two subnormals can round to 0.0, below both.
+        tracker = RollingPercentileTracker(window_seconds=None)
+        tracker.observe(0.0, 5e-324)
+        tracker.observe(1.0, 5e-324)
+        assert tracker.percentile(50.0) == 5e-324
+
     def test_unwindowed_tracker_never_prunes(self):
         tracker = RollingPercentileTracker(window_seconds=None)
         tracker.observe(0.0, 1.0)
