@@ -15,9 +15,9 @@ default, by the state-aware ``least_outstanding_tokens`` policy: the fast loop
 then routes whole arrival windows against *analytic* replica views
 (persistent closed-form backlog predictors), which is the windowed
 path the analytic router-state replay exists for. ``--router
-round_robin`` selects the state-blind variant, which batches the same
-windows without any state probes and is correspondingly faster — both
-are gated in CI.
+round_robin`` selects the state-blind variant, which routes the same
+windows without ever reading (or sweeping) a replica view and is
+correspondingly faster — both are gated in CI.
 
 Usage::
 
